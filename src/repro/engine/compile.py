@@ -6,28 +6,55 @@ for a single oracle run, ruinous for the bounded-exhaustive disprover,
 which evaluates the same two queries on hundreds of thousands of
 enumerated instances.
 
-This module compiles a query **once** into a flat program: each
-relational operator becomes a specialized Python function whose row-level
-work — projections, predicates, scalar expressions — is *generated as
-inline Python source* (pure tuple indexing and operator syntax) and
-``exec``-ed into place.  A projection chain like
-``Compose(LeftP, Duplicate(RightP, LeftP))`` evaluates as the expression
-``(g[0][1], g[0][0])``, not as a tree of closure calls.  All per-query
-decisions are made at compile time:
+This module compiles a query **once** into a few generated Python
+functions.  The unit of compilation is the *block*: a maximal
+``Select? ∘ Where* ∘ Product``-tree, optionally under ``Distinct``, which
+becomes **one** function holding one loop nest (produce/consume
+compilation, Neumann, VLDB 2011) — no intermediate join result is ever
+materialized:
 
-* node dispatch — relational operators call their pre-compiled children
-  directly; row-level terms are inlined source, so the per-row cost is
-  what CPython charges for the arithmetic itself;
+* **one loop per leaf** — a ``Table`` leaf iterates ``rels[i]`` (or a
+  constant relation baked in at compile time); any other leaf (a union,
+  a difference, a ``Distinct`` over a table, a ``Select`` under a
+  ``Where``) is compiled on its own and evaluated once, before the
+  loops.  An empty leaf returns the empty relation at once;
+* **rows as pair fragments** — the product row is the ``("pair", …)``
+  code fragment over the loop variables ``_r0, _r1, …``, so a
+  ``LeftP``/``RightP`` chain resolves to a plain variable reference at
+  compile time: ``Compose(RightP, LeftP)`` over ``(g, (_r0, _r1))`` is
+  just ``_r0``;
+* **conjunct placement** — every ``Where`` in the tree (also one nested
+  under a product) is split at ``AND``, and each conjunct becomes an
+  ``if`` at the shallowest loop that binds every loop variable it
+  mentions; a conjunct on the context ``g`` alone is checked once,
+  before the loops.  Conjuncts at one level keep their source order.
+  Moving a conjunct ahead of another is sound because predicates are
+  pure: every symbol the SQL front end emits is total;
+* **output** — the projection image is written straight into the result
+  dict.  Under ``NAT`` the count is the product of the loop annotations
+  (accumulated when two rows share an image); under ``BOOL`` it is
+  ``True``; under a fused ``Distinct`` it is ``1`` and the loops iterate
+  keys only.
+
+``UnionAll``, ``Except`` and a ``Distinct`` over a bare table are small
+closures that call their children.  Row-level work — projections,
+predicates, scalar expressions — is inline source (tuple indexing and
+operator syntax).  All other per-query decisions are made at compile
+time too:
+
 * symbol resolution — scalar functions, aggregates, comparison
   predicates, and metavariable bindings (from a base
   :class:`~repro.engine.database.Interpretation`) are looked up once and
-  bound as closure parameters of the generated code;
+  bound as closure parameters of the generated code; correlated
+  ``EXISTS``/aggregate subqueries are blocks of their own, called with
+  the current row as their context;
 * semiring specialization — multiplicities evaluate by *counting*:
   plain ``int`` arithmetic under ``NAT``, native boolean operations
   under ``BOOL``.  Exotic semirings (``NAT_INF`` cardinals, tropical,
   provenance polynomials) raise :class:`CompileError` so callers fall
   back to the generic interpreter — the disprover's differential suite
-  pins the two evaluators to each other on the supported semirings;
+  pins the two evaluators to each other on the supported semirings.  So
+  does a FROM list wider than CPython's limit of 20 nested loops;
 * relation representation — a relation is a plain ``dict`` mapping rows
   to non-zero counts (the disprover's cached instance batches build
   these dicts once per enumerated table instance and share them across
@@ -43,7 +70,8 @@ queries).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+import re
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ast
 from ..semiring.krelation import KRelation
@@ -57,6 +85,11 @@ from .eval import EvaluationError
 COMPILED_SEMIRINGS = (NAT, BOOL)
 
 QueryFn = Callable[[Tuple[Dict[Any, Any], ...], Any], Dict[Any, Any]]
+
+#: Operators fused into one loop nest (see the module docstring).
+_BLOCK_NODES = (ast.Select, ast.Where, ast.Product)
+#: A loop variable in generated source: the row bound by loop ``i``.
+_LOOP_VAR = re.compile(r"\b_r(\d+)\b")
 
 
 class CompileError(EvaluationError):
@@ -192,7 +225,13 @@ def _build(source_body: str, env: _Env):
               f"{source_body}"
               f"    return _fn\n")
     namespace: Dict[str, Any] = {}
-    exec(source, namespace)  # noqa: S102 - source is generated right here
+    try:
+        exec(source, namespace)  # noqa: S102 - source is generated right here
+    except (SyntaxError, RecursionError) as exc:
+        # CPython caps statically nested loops (20): a FROM list that
+        # wide falls back to the interpreter.
+        raise CompileError(f"generated program does not compile: {exc}") \
+            from exc
     return namespace["_make"](*(env.values[n] for n in names))
 
 
@@ -218,68 +257,28 @@ class _Compiler:
         except KeyError as exc:
             raise CompileError(str(exc)) from exc
 
-    # -- queries (closures; one call per instance, not per row) -------------
+    # -- queries (one call per instance, not per row) -----------------------
 
     def query(self, q: ast.Query) -> QueryFn:
         if isinstance(q, ast.Table):
             slot = self.slots.get(q.name)
             if slot is not None:
                 return lambda rels, g, _i=slot: rels[_i]
-            rel = self._lookup(self.interp.relation, q.name)
-            baked = relation_to_counts(rel, self.semiring)
+            baked = self._baked(q.name)
             return lambda rels, g, _d=baked: _d
 
-        if isinstance(q, ast.Select):
+        if isinstance(q, _BLOCK_NODES):
+            return self.block(q, distinct=False)
+
+        if isinstance(q, ast.Distinct):
+            if isinstance(q.query, _BLOCK_NODES):
+                return self.block(q.query, distinct=True)
             child = self.query(q.query)
-            env = _Env()
-            row_ctx = ("pair", _atom("g"), _atom("_row"))
-            image = _render(self.projection(q.projection, row_ctx, env))
-            child_ref = env.bind(child)
-            if self.nat:
-                body = (
-                    f"    def _fn(rels, g):\n"
-                    f"        out = {{}}\n"
-                    f"        _get = out.get\n"
-                    f"        for _row, _annot in {child_ref}(rels, g)"
-                    f".items():\n"
-                    f"            _img = {image}\n"
-                    f"            out[_img] = _get(_img, 0) + _annot\n"
-                    f"        return out\n")
-            else:
-                body = (
-                    f"    def _fn(rels, g):\n"
-                    f"        return {{{image}: True "
-                    f"for _row in {child_ref}(rels, g)}}\n")
-            return _build(body, env)
+            one = 1 if self.nat else True
 
-        if isinstance(q, ast.Product):
-            left, right = self.query(q.left), self.query(q.right)
-            if self.nat:
-                def product_nat(rels, g, _l=left, _r=right):
-                    rhs = _r(rels, g)
-                    # Row pairs are unique across both loops, so every
-                    # output key is written exactly once.
-                    return {(r1, r2): a1 * a2
-                            for r1, a1 in _l(rels, g).items()
-                            for r2, a2 in rhs.items()}
-                return product_nat
-
-            def product_bool(rels, g, _l=left, _r=right):
-                rhs = _r(rels, g)
-                return {(r1, r2): True for r1 in _l(rels, g) for r2 in rhs}
-            return product_bool
-
-        if isinstance(q, ast.Where):
-            child = self.query(q.query)
-            env = _Env()
-            row_ctx = ("pair", _atom("g"), _atom("_row"))
-            cond = _render(self.predicate(q.predicate, row_ctx, env))
-            child_ref = env.bind(child)
-            body = (
-                f"    def _fn(rels, g):\n"
-                f"        return {{_row: _annot for _row, _annot in "
-                f"{child_ref}(rels, g).items() if {cond}}}\n")
-            return _build(body, env)
+            def distinct_run(rels, g, _c=child, _one=one):
+                return dict.fromkeys(_c(rels, g), _one)
+            return distinct_run
 
         if isinstance(q, ast.UnionAll):
             left, right = self.query(q.left), self.query(q.right)
@@ -310,17 +309,113 @@ class _Compiler:
                         if row not in rhs}
             return except_run
 
-        if isinstance(q, ast.Distinct):
-            child = self.query(q.query)
-            one = 1 if self.nat else True
-
-            def distinct_run(rels, g, _c=child, _one=one):
-                return dict.fromkeys(_c(rels, g), _one)
-            return distinct_run
-
         raise CompileError(f"cannot compile query node: {q!r}")
 
+    def _baked(self, name: str) -> Dict[Any, Any]:
+        rel = self._lookup(self.interp.relation, name)
+        return relation_to_counts(rel, self.semiring)
+
+    # -- fused blocks (one loop nest per Select? ∘ Where* ∘ Product tree) ---
+
+    def block(self, q: ast.Query, distinct: bool) -> QueryFn:
+        env = _Env()
+        projection = None
+        if isinstance(q, ast.Select):
+            projection, q = q.projection, q.query
+        leaves: List[ast.Query] = []
+        conjuncts: List[str] = []
+        row = self._tree(q, env, leaves, conjuncts)
+        image = (row if projection is None else
+                 self.projection(projection, ("pair", _atom("g"), row), env))
+
+        # Conjunct placement: each conjunct runs at the shallowest loop
+        # that binds every loop variable it mentions (-1: before the
+        # loops), keeping source order within a level.
+        levels: List[List[str]] = [[] for _ in range(len(leaves) + 1)]
+        for cond in conjuncts:
+            used = [int(i) for i in _LOOP_VAR.findall(cond)]
+            levels[max(used, default=-1) + 1].append(cond)
+
+        def guard(level: int) -> str:
+            return " and ".join(levels[level + 1])
+
+        lines = ["    def _fn(rels, g):\n"]
+        if levels[0]:
+            lines.append(f"        if not ({guard(-1)}):\n"
+                         f"            return {{}}\n")
+        for i, leaf in enumerate(leaves):
+            if isinstance(leaf, ast.Table):
+                slot = self.slots.get(leaf.name)
+                source = (f"rels[{slot}]" if slot is not None
+                          else env.bind(self._baked(leaf.name)))
+            else:
+                source = f"{env.bind(self.query(leaf))}(rels, g)"
+            lines.append(f"        _l{i} = {source}\n"
+                         f"        if not _l{i}:\n"
+                         f"            return {{}}\n")
+
+        # Multiplicities: the product of the loop annotations under NAT;
+        # a constant under BOOL or a fused DISTINCT, where the loops
+        # iterate keys only.
+        counted = self.nat and not distinct
+        img = _render(image)
+        annot = " * ".join(f"_a{i}" for i in range(len(leaves)))
+        head = ["out = {}"]
+        if not counted:
+            store = [f"out[{img}] = {1 if self.nat else True}"]
+        elif projection is None:
+            # Product rows are unique: each key is written once.
+            store = [f"out[{img}] = {annot}"]
+        else:
+            # Distinct loop rows can share an image: accumulate.
+            head.append("_get = out.get")
+            store = [f"_img = {img}", f"out[_img] = _get(_img, 0) + {annot}"]
+        indent = "        "
+        lines += [f"{indent}{line}\n" for line in head]
+        for i in range(len(leaves)):
+            lines.append(f"{indent}for _r{i}, _a{i} in _l{i}.items():\n"
+                         if counted else f"{indent}for _r{i} in _l{i}:\n")
+            indent += "    "
+            if levels[i + 1]:
+                lines.append(f"{indent}if not ({guard(i)}):\n"
+                             f"{indent}    continue\n")
+        lines += [f"{indent}{line}\n" for line in store]
+        lines.append("        return out\n")
+        return _build("".join(lines), env)
+
+    def _tree(self, q: ast.Query, env: _Env, leaves: List[ast.Query],
+              conjuncts: List[str]) -> _Code:
+        """Flatten a Product/Where tree into loop leaves and conjuncts.
+
+        Returns the tree's row as a fragment over the loop variables
+        ``_r<i>``; conjuncts are appended in evaluation order (inner
+        ``Where`` before outer, left operand before right).
+        """
+        if isinstance(q, ast.Product):
+            left = self._tree(q.left, env, leaves, conjuncts)
+            right = self._tree(q.right, env, leaves, conjuncts)
+            return ("pair", left, right)
+        if isinstance(q, ast.Where):
+            row = self._tree(q.query, env, leaves, conjuncts)
+            ctx = ("pair", _atom("g"), row)
+            conjuncts += [_render(cond) for cond
+                          in self.conjuncts(q.predicate, ctx, env)]
+            return row
+        leaves.append(q)
+        return _atom(f"_r{len(leaves) - 1}")
+
     # -- predicates (generated source over the context fragment) ------------
+
+    def conjuncts(self, p: ast.Predicate, var: _Code,
+                  env: _Env) -> List[_Code]:
+        """``p`` split at ``AND`` (also under casts), in source order."""
+        if isinstance(p, ast.PredAnd):
+            return (self.conjuncts(p.left, var, env)
+                    + self.conjuncts(p.right, var, env))
+        if isinstance(p, ast.CastPred):
+            recast = self.projection(p.projection, var, env)
+            return self.conjuncts(p.predicate, recast, env)
+        return [self.predicate(p, var, env)]
 
     def predicate(self, p: ast.Predicate, var: _Code, env: _Env) -> _Code:
         if isinstance(p, ast.PredEq):

@@ -63,7 +63,7 @@ from .disprover import (
     free_tables,
     has_metavariables,
 )
-from .verdict import Status, Verdict
+from .verdict import BoundInfo, Status, Verdict
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ class PipelineConfig:
     disprover_workers: int = 1
     #: instances per disprover shard; None sizes shards automatically.
     disprover_batch_size: Optional[int] = None
-    #: cache inconclusive (UNKNOWN) verdicts too?  Off by default so a
-    #: later run with a bigger budget is not short-circuited.
+    #: cache inconclusive (UNKNOWN) verdicts too?  Off by default.  When
+    #: on, a cached UNKNOWN answers only requests whose disprover bound
+    #: and instance budget its own search covered; others re-run.
     cache_unknown: bool = False
     #: term-kernel backend this pipeline selects: ``"arena"`` (flat
     #: int-indexed arena tables), ``"object"`` (the historical interned
@@ -222,6 +223,36 @@ class NormalizedQuery:
         return nsum_subst(self.nsum, {d.g: o.g, d.t: o.t})
 
 
+def _unknown_still_valid(bound: Optional[BoundInfo], cfg: PipelineConfig,
+                         prove_only: bool) -> bool:
+    """May a cached UNKNOWN answer a request run under ``cfg``?
+
+    Only if the request's disprover would search nothing the cached
+    search did not already clear: an exhausted search covers every
+    bound with no more rows or multiplicity and a subset of its
+    domains; a truncated one covers only its own bound, up to the
+    instances it checked.  An UNKNOWN with no recorded bound (its
+    disprover was off or abstained) cannot show what it searched, so it
+    answers only requests that do not run the disprover either — as a
+    prove-only request never does.
+    """
+    if prove_only or not cfg.use_disprover:
+        return True
+    if bound is None:
+        return False
+    want = cfg.disprover_bound
+    if bound.exhausted:
+        have = dict(bound.domains)
+        return (want.max_rows <= bound.max_rows
+                and want.max_multiplicity <= bound.max_multiplicity
+                and all(set(values) <= set(have.get(name, ()))
+                        for name, values in want.domains))
+    budget = cfg.disprover_max_instances
+    return ((want.max_rows, want.max_multiplicity, want.domains)
+            == (bound.max_rows, bound.max_multiplicity, bound.domains)
+            and budget is not None and budget <= bound.instances_checked)
+
+
 class Pipeline:
     """A configured tiered decision pipeline with a proof cache."""
 
@@ -314,6 +345,11 @@ class Pipeline:
                                                 pre2.alpha_key, hyps)
             side_digest = pre1.norm_digest
             hit = self.cache.get(fingerprint)
+            if hit is not None and hit.status is Status.UNKNOWN \
+                    and not _unknown_still_valid(hit.bound, cfg, prove_only):
+                # The cached search was smaller than this request's:
+                # serving it could hide a witness the request would find.
+                hit = None
             sp.attrs["hit"] = hit is not None
         _record_tier(timings, "cache", sp.duration)
         if hit is not None:
@@ -347,7 +383,7 @@ class Pipeline:
                     fingerprint=fingerprint, timings=dict(timings),
                     detail="normal forms are alpha-equal")
                 return self._finish(verdict, pre1, pre2, fingerprint,
-                                    alias, prove_only, norm_before)
+                                    alias, prove_only, norm_before, cfg)
 
         n1 = pre1.nsum
         n2 = pre2.aligned_nsum(pre1)
@@ -355,12 +391,13 @@ class Pipeline:
                                hyps, n1, n2, fingerprint, timings, factory,
                                prove_only, cfg)
         return self._finish(verdict, pre1, pre2, fingerprint, alias,
-                            prove_only, norm_before)
+                            prove_only, norm_before, cfg)
 
     def _finish(self, verdict: Verdict, pre1: NormalizedQuery,
                 pre2: NormalizedQuery, fingerprint: str,
                 alias: Optional[str], prove_only: bool,
-                norm_before: Dict[str, float]) -> Verdict:
+                norm_before: Dict[str, float],
+                cfg: PipelineConfig) -> Verdict:
         """Tag a fresh verdict with digests + kernel counters, cache it."""
         verdict.kernel_counters = _kernel_counters(norm_before)
         verdict.lhs_norm_digest = pre1.norm_digest
@@ -370,7 +407,7 @@ class Pipeline:
         # is never cached — even under cache_unknown — lest it mask the
         # disproof a later full check would find.
         if verdict.status is not Status.UNKNOWN \
-                or (self.config.cache_unknown and not prove_only):
+                or (cfg.cache_unknown and not prove_only):
             self.cache.put(fingerprint, verdict, alias=alias)
         _observe_verdict(verdict)
         _log.debug("verdict %s at stage %s (%.3f ms)", verdict.status.name,

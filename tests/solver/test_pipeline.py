@@ -1,5 +1,7 @@
 """The tiered decision pipeline: stages, budgets, corpus acceptance."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.schema import INT
@@ -163,6 +165,79 @@ class TestCaching:
         q2 = queries("SELECT a FROM R WHERE a = 3")
         assert pipeline.check(q1, q2).status is Status.UNKNOWN
         assert not pipeline.check(q1, q2).cached
+
+
+class TestCachedUnknown:
+    """A cached UNKNOWN never hides a verdict the request would find."""
+
+    SMALL = Bound.of(max_rows=1, max_multiplicity=1)
+
+    def test_cached_unknown_served_at_the_same_bound(self, queries):
+        pipeline = Pipeline(PipelineConfig(cache_unknown=True,
+                                           disprover_bound=self.SMALL))
+        q1 = queries("SELECT a FROM R WHERE a = 2")
+        q2 = queries("SELECT a FROM R WHERE a = 3")
+        assert pipeline.check(q1, q2).status is Status.UNKNOWN
+        again = pipeline.check(q1, q2)
+        assert again.cached and again.status is Status.UNKNOWN
+
+    def test_wider_domain_request_reruns_the_disprover(self, queries):
+        config = PipelineConfig(cache_unknown=True,
+                                disprover_bound=self.SMALL)
+        pipeline = Pipeline(config)
+        q1 = queries("SELECT a FROM R WHERE a = 2")
+        q2 = queries("SELECT a FROM R WHERE a = 3")
+        assert pipeline.check(q1, q2).status is Status.UNKNOWN
+        wide = replace(config, disprover_bound=Bound.of(
+            max_rows=1, max_multiplicity=1, domains={"int": (0, 1, 2, 3)}))
+        verdict = pipeline.check(q1, q2, config=wide)
+        assert not verdict.cached
+        assert verdict.status is Status.DISPROVED
+        assert verdict.status is Pipeline(wide).check(q1, q2).status
+
+    def test_larger_bound_request_reruns_the_disprover(self, queries):
+        config = PipelineConfig(cache_unknown=True,
+                                disprover_bound=self.SMALL)
+        pipeline = Pipeline(config)
+        q1 = queries("SELECT a FROM R")
+        q2 = queries("SELECT DISTINCT a FROM R")
+        assert pipeline.check(q1, q2).status is Status.UNKNOWN
+        assert pipeline.check(q1, q2).cached
+        bigger = replace(config, disprover_bound=Bound.of(2, 2))
+        verdict = pipeline.check(q1, q2, config=bigger)
+        assert not verdict.cached
+        assert verdict.status is Status.DISPROVED
+
+    def test_truncated_unknown_does_not_answer_a_larger_budget(self,
+                                                               queries):
+        config = PipelineConfig(cache_unknown=True,
+                                disprover_bound=Bound.of(2, 2),
+                                disprover_max_instances=1)
+        pipeline = Pipeline(config)
+        q1 = queries("SELECT a FROM R WHERE a = 1")
+        q2 = queries("SELECT a FROM R WHERE a = 1 AND b = 0")
+        first = pipeline.check(q1, q2)
+        assert first.status is Status.UNKNOWN
+        assert not first.bound.exhausted
+        assert pipeline.check(q1, q2).cached
+        unbudgeted = replace(config, disprover_max_instances=None)
+        verdict = pipeline.check(q1, q2, config=unbudgeted)
+        assert not verdict.cached
+        assert verdict.status is Status.DISPROVED
+
+    def test_per_request_cache_unknown_is_honoured(self, queries):
+        q1 = queries("SELECT a FROM R WHERE a = 2")
+        q2 = queries("SELECT a FROM R WHERE a = 3")
+        off = PipelineConfig(disprover_bound=self.SMALL)
+        on = replace(off, cache_unknown=True)
+
+        caching = Pipeline(off)
+        assert caching.check(q1, q2, config=on).status is Status.UNKNOWN
+        assert caching.check(q1, q2, config=on).cached
+
+        skipping = Pipeline(on)
+        assert skipping.check(q1, q2, config=off).status is Status.UNKNOWN
+        assert not skipping.check(q1, q2, config=off).cached
 
 
 class TestRuleCorpus:
