@@ -32,6 +32,16 @@ system DOPCERT:
   library exception.
 * :mod:`repro.theory` — the decidability landscape of Figure 9.
 
+Imports are lazy (PEP 562): ``import repro`` loads only this file, and
+each name above is imported from its defining submodule the first time it
+is read; every subpackage does the same for its own names.  A check
+therefore loads the SQL front end, the term kernel and the pipeline tiers
+it runs, and no more — the disprover, the optimizer, the static analysis,
+the batch service and the serve daemon load on first use, inside the call
+that needs them.  Code in the package keeps to the same rule: a module
+imports at top level only what its common path runs, and imports a heavy
+subsystem inside the function that uses it.
+
 Quickstart::
 
     from repro import Session
@@ -70,51 +80,7 @@ warning-free for internal use).
 
 import warnings as _warnings
 
-from . import obs
-from .core import (
-    BOOL,
-    EMPTY,
-    FDConstraint,
-    Hypotheses,
-    INT,
-    KeyConstraint,
-    STRING,
-    SVar,
-    Schema,
-    ast,
-    cq_equivalent,
-    decide_cq,
-    denote_closed,
-)
-from .core.equivalence import (
-    check_query_equivalence as _check_query_equivalence,
-    queries_equivalent as _queries_equivalent,
-)
-from .engine import Database, Interpretation, run_query
-from .errors import ReproError
-from .rules import all_rules, get_rule, rules_by_category
-from .semiring import KRelation, NAT, NAT_INF, PROVENANCE
-from .session import (
-    PairResult,
-    PairwiseReport,
-    PlanHandle,
-    QueryHandle,
-    Session,
-    SessionError,
-    TableSpecError,
-)
-from .solver import (
-    BatchReport,
-    Bound,
-    Job,
-    Pipeline,
-    PipelineConfig,
-    ProofCache,
-    Status,
-    Verdict,
-    VerificationService,
-)
-from .sql import Catalog, compile_sql, query_to_str
+from ._lazy import lazy_exports
 
 __version__ = "2.0.0"
 
@@ -126,6 +92,7 @@ def queries_equivalent(q1, q2, ctx_schema=None, hyps=None):
         "repro.queries_equivalent is deprecated; open a repro.Session and "
         "use QueryHandle.equivalent_to(...).proved",
         DeprecationWarning, stacklevel=2)
+    from .core.equivalence import queries_equivalent as _queries_equivalent
     if hyps is None:
         return _queries_equivalent(q1, q2, ctx_schema)
     return _queries_equivalent(q1, q2, ctx_schema, hyps)
@@ -138,6 +105,7 @@ def check_query_equivalence(q1, q2, ctx_schema=None, hyps=None, **kwargs):
         "repro.check_query_equivalence is deprecated; open a repro.Session "
         "and use QueryHandle.equivalent_to(...)",
         DeprecationWarning, stacklevel=2)
+    from .core.equivalence import check_query_equivalence as _check_query_equivalence
     if hyps is None:
         return _check_query_equivalence(q1, q2, ctx_schema, **kwargs)
     return _check_query_equivalence(q1, q2, ctx_schema, hyps, **kwargs)
@@ -192,3 +160,24 @@ __all__ = [
     "rules_by_category",
     "run_query",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "BOOL", "EMPTY", "FDConstraint", "Hypotheses", "INT", "KeyConstraint",
+        "STRING", "SVar", "Schema", "ast", "cq_equivalent", "decide_cq",
+        "denote_closed",
+    ),
+    ".engine": ("Database", "Interpretation", "run_query"),
+    ".errors": ("ReproError",),
+    ".rules": ("all_rules", "get_rule", "rules_by_category"),
+    ".semiring": ("KRelation", "NAT", "NAT_INF", "PROVENANCE"),
+    ".session": (
+        "PairResult", "PairwiseReport", "PlanHandle", "QueryHandle",
+        "Session", "SessionError", "TableSpecError",
+    ),
+    ".solver": (
+        "BatchReport", "Bound", "Job", "Pipeline", "PipelineConfig",
+        "ProofCache", "Status", "Verdict", "VerificationService",
+    ),
+    ".sql": ("Catalog", "compile_sql", "query_to_str"),
+})

@@ -15,22 +15,7 @@ The facts pay downstream: saturation gains property-guarded rewrites
 enumeration, and the cost model tightens selectivities.
 """
 
-from .infer import (
-    AnalysisContext,
-    EMPTY_CONTEXT,
-    infer_properties,
-    pred_sat,
-    supports_determined,
-)
-from .properties import Interval, PlanProperties, Sat
-from .rulecheck import (
-    Diagnostic,
-    ExpectedDefect,
-    LintReport,
-    Severity,
-    lint_rule,
-    lint_rules,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AnalysisContext",
@@ -48,3 +33,15 @@ __all__ = [
     "pred_sat",
     "supports_determined",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".infer": (
+        "AnalysisContext", "EMPTY_CONTEXT", "infer_properties", "pred_sat",
+        "supports_determined",
+    ),
+    ".properties": ("Interval", "PlanProperties", "Sat"),
+    ".rulecheck": (
+        "Diagnostic", "ExpectedDefect", "LintReport", "Severity", "lint_rule",
+        "lint_rules",
+    ),
+})

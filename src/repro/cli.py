@@ -41,30 +41,19 @@ exit code (0 = equivalent/verified) so it can script into CI pipelines.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, TYPE_CHECKING
 
 from .errors import ReproError
 from .obs.logs import configure_logging
-from .obs.metrics import REGISTRY
 from .obs.trace import trace_to_file
-from .optimizer import STRATEGIES, TableStats
-from .rules import (
-    CATEGORY_ORDER,
-    all_buggy_rules,
-    all_extended_rules,
-    all_rules,
-    get_rule,
-    rules_by_category,
-)
-from .session import (
-    QueryHandle,
-    Session,
-    TableSpecError,
-    parse_table_spec as _parse_table_spec,
-)
-from .solver import Bound, Job, PipelineConfig, Status, disprove_rule
+from .solver.verdict import Bound, Status
+
+if TYPE_CHECKING:  # each command imports what it runs
+    from .optimizer.cost import TableStats
+    from .session import QueryHandle, Session
 
 
 class CLIError(ReproError):
@@ -73,6 +62,7 @@ class CLIError(ReproError):
 
 def parse_table_spec(spec: str) -> tuple:
     """Parse ``R(a:int,b:int)`` into a (name, columns) pair."""
+    from .session import TableSpecError, parse_table_spec as _parse_table_spec
     try:
         return _parse_table_spec(spec)
     except TableSpecError as exc:
@@ -110,6 +100,8 @@ def _disprover_knobs_from_args(args: argparse.Namespace):
 
 def _session_from_args(args: argparse.Namespace) -> Session:
     """One Session per command: catalog + pipeline + cache + workers."""
+    from .session import Session
+    from .solver.pipeline import PipelineConfig
     config = PipelineConfig(disprover_bound=_bound_from_args(args))
     session = Session(config=config,
                       cache_path=getattr(args, "cache", None),
@@ -193,6 +185,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_batch_check(args: argparse.Namespace) -> int:
+    from .solver.service import Job
     try:
         with open(args.jobs, "r", encoding="utf-8") as handle:
             spec = json.load(handle)
@@ -226,6 +219,7 @@ def cmd_batch_check(args: argparse.Namespace) -> int:
 
 def _stats_from_args(args: argparse.Namespace) -> TableStats:
     """``--rows R=100`` declarations → the cost model's TableStats."""
+    from .optimizer.cost import TableStats
     cardinalities = {}
     for spec in (getattr(args, "rows", None) or []):
         name, sep, value = spec.partition("=")
@@ -246,6 +240,10 @@ def _stats_from_args(args: argparse.Namespace) -> TableStats:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .optimizer.planner import STRATEGIES
+    if args.strategy not in STRATEGIES:
+        raise CLIError(f"--strategy must be one of {', '.join(STRATEGIES)}, "
+                       f"got {args.strategy!r}")
     if args.max_plans < 1:
         raise CLIError(f"--max-plans must be at least 1, got "
                        f"{args.max_plans}")
@@ -285,6 +283,8 @@ def cmd_disprove(args: argparse.Namespace) -> int:
     bound = _bound_from_args(args)
     workers, batch_size = _disprover_knobs_from_args(args)
     if len(args.target) == 1:
+        from .rules.registry import get_rule
+        from .solver.disprover import disprove_rule
         try:
             rule = get_rule(args.target[0])
         except KeyError as exc:
@@ -318,6 +318,7 @@ def cmd_disprove(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
+    from .rules.registry import get_rule
     try:
         rule = get_rule(args.rule)
     except KeyError as exc:
@@ -335,6 +336,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_prove_all(args: argparse.Namespace) -> int:
+    from .rules.registry import CATEGORY_ORDER, all_buggy_rules, rules_by_category
     with _session_from_args(args) as session:
         by_category = rules_by_category()
         ordered = [rule for category in CATEGORY_ORDER
@@ -362,6 +364,18 @@ def cmd_prove_all(args: argparse.Namespace) -> int:
         return 0 if failures == 0 else 1
 
 
+#: Modules that register metric families (and kernel memo tables) when
+#: imported: ``repro stats`` loads them, so a fresh process still lists
+#: every family it can report, at zero.
+_METRIC_MODULES = ("analysis.rulecheck", "optimizer.planner", "rules.rule",
+                   "solver.service")
+
+
+def _load_metric_families() -> None:
+    for name in _METRIC_MODULES:
+        importlib.import_module(f"{__package__}.{name}")
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     """Dump the process-wide metrics registry (``repro stats``).
 
@@ -371,6 +385,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     use ``--json`` in CI to smoke-test that the registry serializes.
     """
     from .core.intern import kernel_stats
+    from .obs.metrics import REGISTRY
+    _load_metric_families()
     # kernel_stats() first: reading the arena section refreshes the
     # ``kernel.arena.*`` gauges, so the registry snapshot taken after it
     # includes the arena occupancy/hit figures (CI smoke-asserts this).
@@ -403,6 +419,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from .serve.server import ReproServer, ServeError
+    from .solver.pipeline import PipelineConfig
 
     try:
         server = ReproServer(
@@ -489,6 +506,7 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
+    from .rules.registry import all_buggy_rules, all_extended_rules, all_rules
     print(f"{'name':<32}{'category':<14}{'paper ref':<24}")
     print("-" * 70)
     for rule in all_rules() + all_extended_rules() + all_buggy_rules():
@@ -496,14 +514,6 @@ def cmd_rules(args: argparse.Namespace) -> int:
         print(f"{rule.name:<32}{rule.category:<14}"
               f"{rule.paper_ref:<24}{marker}")
     return 0
-
-
-#: ``repro lint`` corpus selectors, in display order.
-_LINT_CORPORA = (
-    ("basic", all_rules),
-    ("extended", all_extended_rules),
-    ("buggy", all_buggy_rules),
-)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -514,9 +524,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     rule draws an ERROR-severity diagnostic (warnings are allowed — the
     test suite pins their exact set).
     """
-    from .analysis import lint_rules
+    from .analysis.rulecheck import lint_rules
+    from .rules.registry import all_buggy_rules, all_extended_rules, all_rules
 
-    selected = [(name, factory) for name, factory in _LINT_CORPORA
+    # corpus selectors, in display order
+    corpora = (("basic", all_rules), ("extended", all_extended_rules),
+               ("buggy", all_buggy_rules))
+    selected = [(name, factory) for name, factory in corpora
                 if args.corpus in ("all", name)]
     failures: List[str] = []
     payload = {}
@@ -560,8 +574,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Infer static plan properties for a SQL query (``repro analyze``)."""
-    from .analysis import AnalysisContext, infer_properties
-    from .analysis.infer import supports_determined
+    from .analysis.infer import AnalysisContext, infer_properties, supports_determined
 
     with _session_from_args(args) as session:
         handle = _handle(session, args.sql)
@@ -659,8 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_p.add_argument("--table", action="append", metavar="SPEC",
                             help="table declaration, e.g. 'R(a:int,b:int)' "
                                  "(repeatable)")
-    optimize_p.add_argument("--strategy", choices=STRATEGIES,
-                            default="saturation",
+    optimize_p.add_argument("--strategy", default="saturation",
                             help="plan search strategy (default: "
                                  "saturation; bfs is the Volcano fallback)")
     optimize_p.add_argument("--max-plans", type=int, default=400,

@@ -1,34 +1,6 @@
 """Certified query optimizer: e-graph, saturation, rewriter, cost, planner."""
 
-from .cost import Estimate, TableStats, compose, estimate, plan_cost, plan_size
-from .egraph import EGraph, ENode
-from .explain import explain, explain_result
-from .extract import (
-    Candidate,
-    ExtractionResult,
-    count_plans,
-    extract_best,
-    rule_chain,
-)
-from .planner import PLAN_COUNT_LIMIT, PlanningResult, STRATEGIES, optimize
-from .rewriter import (
-    CertifiedCandidate,
-    TRANSFORMATIONS,
-    certified_rewrites,
-    flatten_conjuncts,
-    predicate_paths,
-    proj_steps,
-    rewrite_predicate_paths,
-    rewrites,
-    steps_to_proj,
-)
-from .saturate import (
-    ERULES,
-    ERule,
-    SaturationBudget,
-    SaturationStats,
-    saturate,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Candidate",
@@ -64,3 +36,27 @@ __all__ = [
     "saturate",
     "steps_to_proj",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cost": (
+        "Estimate", "TableStats", "compose", "estimate", "plan_cost",
+        "plan_size",
+    ),
+    ".egraph": ("EGraph", "ENode"),
+    ".explain": ("explain", "explain_result"),
+    ".extract": (
+        "Candidate", "ExtractionResult", "count_plans", "extract_best",
+        "rule_chain",
+    ),
+    ".planner": (
+        "PLAN_COUNT_LIMIT", "PlanningResult", "STRATEGIES", "optimize",
+    ),
+    ".rewriter": (
+        "CertifiedCandidate", "TRANSFORMATIONS", "certified_rewrites",
+        "flatten_conjuncts", "predicate_paths", "proj_steps",
+        "rewrite_predicate_paths", "rewrites", "steps_to_proj",
+    ),
+    ".saturate": (
+        "ERULES", "ERule", "SaturationBudget", "SaturationStats", "saturate",
+    ),
+})

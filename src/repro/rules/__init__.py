@@ -1,30 +1,6 @@
 """The rewrite-rule library: Figure 8's 23 rules plus unsound controls."""
 
-from .aggregation import aggregation_rules
-from .apply import (
-    Application,
-    Bindings,
-    apply_rule_at_root,
-    apply_rule_everywhere,
-)
-from .basic import basic_rules
-from .buggy import buggy_rules
-from .common import groupby_agg, semijoin, semijoin_on
-from .conjunctive import conjunctive_rules, fig10_queries, self_join_queries
-from .extended import extended_rules
-from .index import index_rules, index_view
-from .magic import magic_rules
-from .registry import (
-    CATEGORY_ORDER,
-    PAPER_FIGURE_8,
-    all_buggy_rules,
-    all_extended_rules,
-    all_rules,
-    get_rule,
-    rules_by_category,
-)
-from .rule import Proof, RewriteRule
-from .subquery import subquery_rules
+from .._lazy import lazy_exports
 
 __all__ = [
     "Application",
@@ -55,3 +31,26 @@ __all__ = [
     "semijoin_on",
     "subquery_rules",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".aggregation": ("aggregation_rules",),
+    ".apply": (
+        "Application", "Bindings", "apply_rule_at_root",
+        "apply_rule_everywhere",
+    ),
+    ".basic": ("basic_rules",),
+    ".buggy": ("buggy_rules",),
+    ".common": ("groupby_agg", "semijoin", "semijoin_on"),
+    ".conjunctive": (
+        "conjunctive_rules", "fig10_queries", "self_join_queries",
+    ),
+    ".extended": ("extended_rules",),
+    ".index": ("index_rules", "index_view"),
+    ".magic": ("magic_rules",),
+    ".registry": (
+        "CATEGORY_ORDER", "PAPER_FIGURE_8", "all_buggy_rules",
+        "all_extended_rules", "all_rules", "get_rule", "rules_by_category",
+    ),
+    ".rule": ("Proof", "RewriteRule"),
+    ".subquery": ("subquery_rules",),
+})

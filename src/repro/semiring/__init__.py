@@ -5,34 +5,7 @@ K-relations over commutative semirings (Green et al., PODS 2007) and the
 paper's generalization to infinite cardinal multiplicities.
 """
 
-from .cardinal import (
-    Cardinal,
-    OMEGA,
-    ONE,
-    ZERO,
-    cardinal_product,
-    cardinal_sum,
-)
-from .krelation import KRelation
-from .provenance import (
-    PROVENANCE,
-    Polynomial,
-    ProvenanceSemiring,
-    annotate_distinctly,
-)
-from .semirings import (
-    BOOL,
-    BoolSemiring,
-    NAT,
-    NAT_INF,
-    NatInfSemiring,
-    NatSemiring,
-    STANDARD_SEMIRINGS,
-    Semiring,
-    TROPICAL,
-    TropicalSemiring,
-    check_semiring_laws,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "BOOL",
@@ -58,3 +31,20 @@ __all__ = [
     "cardinal_sum",
     "check_semiring_laws",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cardinal": (
+        "Cardinal", "OMEGA", "ONE", "ZERO", "cardinal_product",
+        "cardinal_sum",
+    ),
+    ".krelation": ("KRelation",),
+    ".provenance": (
+        "PROVENANCE", "Polynomial", "ProvenanceSemiring",
+        "annotate_distinctly",
+    ),
+    ".semirings": (
+        "BOOL", "BoolSemiring", "NAT", "NAT_INF", "NatInfSemiring",
+        "NatSemiring", "STANDARD_SEMIRINGS", "Semiring", "TROPICAL",
+        "TropicalSemiring", "check_semiring_laws",
+    ),
+})

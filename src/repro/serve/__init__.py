@@ -10,10 +10,7 @@ client (:mod:`~repro.serve.client`) that
 remote transparently.
 """
 
-from .client import ServeClient, ServeClientError
-from .protocol import MAX_LINE_BYTES, ProtocolError, parse_address
-from .server import ReproServer, ServeError
-from .store import ShardedProofStore, StoreError, StoreProofCache
+from .._lazy import lazy_exports
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -27,3 +24,10 @@ __all__ = [
     "StoreProofCache",
     "parse_address",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".client": ("ServeClient", "ServeClientError"),
+    ".protocol": ("MAX_LINE_BYTES", "ProtocolError", "parse_address"),
+    ".server": ("ReproServer", "ServeError"),
+    ".store": ("ShardedProofStore", "StoreError", "StoreProofCache"),
+})

@@ -77,6 +77,10 @@ _INFLIGHT = gauge("serve.inflight")
 #: How long a follower waits for its leader before giving up (seconds).
 FOLLOWER_TIMEOUT = 600.0
 
+#: How long a draining shutdown waits for in-flight responses to be
+#: written (seconds); bounds the wait on a client that stopped reading.
+DRAIN_TIMEOUT = 30.0
+
 
 class ServeError(ReproError):
     """Server-side request failure with a protocol error code."""
@@ -173,6 +177,11 @@ class ReproServer:
         self._compiled: Dict[Tuple[Tuple[str, ...], str], Any] = {}
         self._compiled_lock = threading.Lock()
         self._shutting_down = threading.Event()
+        self._stopped = threading.Event()
+        #: requests read but not yet answered on the wire; a draining
+        #: shutdown returns only once this is back to zero.
+        self._active = 0
+        self._idle = threading.Condition()
         self._started = time.monotonic()
         self._serve_thread: Optional[threading.Thread] = None
         self._tcp = _TCPServer((host, port), _Handler, self)
@@ -194,15 +203,29 @@ class ReproServer:
         return self
 
     def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain in-flight work, close down."""
+        """Stop accepting, optionally drain in-flight work, close down.
+
+        A draining shutdown returns only after every request already
+        read has had its response written — the ``shutdown`` op's own
+        acknowledgement included, so a process that exits right after
+        this call never drops it.  A second call waits for the first.
+        """
         if self._shutting_down.is_set():
+            self._stopped.wait()
             return
         self._shutting_down.set()
-        self._tcp.shutdown()  # stops serve_forever; waits for its loop
-        self._executor.shutdown(wait=drain)
-        self._tcp.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=10.0)
+        try:
+            self._tcp.shutdown()  # stops serve_forever; waits for its loop
+            self._executor.shutdown(wait=drain)
+            if drain:
+                with self._idle:
+                    self._idle.wait_for(lambda: self._active == 0,
+                                        timeout=DRAIN_TIMEOUT)
+            self._tcp.server_close()
+            if self._serve_thread is not None:
+                self._serve_thread.join(timeout=10.0)
+        finally:
+            self._stopped.set()
         _log.info("serve daemon stopped (drained=%s)", drain)
 
     def __enter__(self) -> "ReproServer":
@@ -231,9 +254,16 @@ class ReproServer:
                 return  # peer vanished mid-read
             if raw is None:
                 return  # clean EOF
-            response = self.handle_request_line(raw)
-            if not self._safe_write(wfile, response):
-                return  # peer vanished mid-write
+            with self._idle:
+                self._active += 1
+            try:
+                response = self.handle_request_line(raw)
+                if not self._safe_write(wfile, response):
+                    return  # peer vanished mid-write
+            finally:
+                with self._idle:
+                    self._active -= 1
+                    self._idle.notify_all()
 
     @staticmethod
     def _safe_write(wfile, response: Dict[str, Any]) -> bool:
@@ -541,12 +571,12 @@ class ReproServer:
         }
 
     def _op_shutdown(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        # Acknowledge first, then drain on a separate thread — shutdown
-        # blocks on the handler threads, this being one of them.
+        # Drain on a separate thread: shutdown waits for this handler to
+        # write the acknowledgement returned here.
         threading.Thread(target=self.shutdown, kwargs={"drain": True},
                          name="repro-serve-shutdown",
                          daemon=True).start()
         return {"shutting_down": True}
 
 
-__all__ = ["FOLLOWER_TIMEOUT", "ReproServer", "ServeError"]
+__all__ = ["DRAIN_TIMEOUT", "FOLLOWER_TIMEOUT", "ReproServer", "ServeError"]

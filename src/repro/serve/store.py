@@ -42,7 +42,7 @@ import json
 import os
 import tempfile
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..fslock import file_lock
 from ..obs.logs import get_logger
@@ -338,25 +338,27 @@ class StoreProofCache(ProofCache):
 
     # -- layered lookups ------------------------------------------------------
 
-    def get(self, fingerprint: str) -> Optional[Verdict]:
+    def get(self, fingerprint: str,
+            accept: Optional[Callable[[Verdict], bool]] = None
+            ) -> Optional[Verdict]:
         with self._tier_lock:
             entry = self._entries.get(fingerprint)
-            if entry is not None:
+            if entry is None:
+                entry = self._store.read(fingerprint)
+                if entry is not None:
+                    # Promote into the hot tier only — the record is
+                    # already on disk, a write-back would just grow the
+                    # segment.
+                    ProofCache.put(self, fingerprint, entry)
+            else:
                 self._entries.move_to_end(fingerprint)
-                self.hits += 1
-                counter("proofcache.hits_total").inc()
-                return self._copy_as_cached(entry)
-            verdict = self._store.read(fingerprint)
-            if verdict is not None:
-                # Promote into the hot tier only — the record is already
-                # on disk, a write-back would just grow the segment.
-                ProofCache.put(self, fingerprint, verdict)
-                self.hits += 1
-                counter("proofcache.hits_total").inc()
-                return self._copy_as_cached(verdict)
-            self.misses += 1
-            counter("proofcache.misses_total").inc()
-            return None
+            if entry is None or (accept is not None and not accept(entry)):
+                self.misses += 1
+                counter("proofcache.misses_total").inc()
+                return None
+            self.hits += 1
+            counter("proofcache.hits_total").inc()
+            return self._copy_as_cached(entry)
 
     def get_by_alias(self, alias: str) -> Optional[Verdict]:
         with self._tier_lock:

@@ -37,23 +37,23 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING, Tuple, Union
 
 from .core import ast
 from .core.equivalence import Hypotheses, NO_HYPOTHESES
 from .core.schema import BOOL, FLOAT, INT, SQLType, STRING
 from .errors import ReproError, SchemaMismatchError
-from .optimizer.cost import TableStats
-from .optimizer.explain import explain, explain_result
-from .optimizer.planner import PlanningResult, optimize
 from .solver.cache import ProofCache
-from .solver.disprover import Bound, DisproofResult, disprove
 from .solver.pipeline import NormalizedQuery, Pipeline, PipelineConfig
-from .solver.service import BatchReport, Job, VerificationService
-from .solver.verdict import Status, Verdict
-from .sql.decompile import plan_to_sql
+from .solver.verdict import Bound, Status, Verdict
 from .sql.lexer import tokenize
 from .sql.resolve import Catalog, Resolved, compile_sql
+
+if TYPE_CHECKING:  # the verbs below import these on first use
+    from .optimizer.cost import TableStats
+    from .optimizer.planner import PlanningResult
+    from .solver.disprover import DisproofResult
+    from .solver.service import BatchReport, Job, VerificationService
 
 
 class SessionError(ReproError):
@@ -216,6 +216,7 @@ class QueryHandle:
         ``None`` explicitly for an unbounded search.  ``workers`` /
         ``batch_size`` default to the session config's sharding knobs.
         """
+        from .solver.disprover import disprove
         other = self._session._coerce(other)
         cfg = self._session.pipeline.config
         return disprove(
@@ -242,6 +243,8 @@ class QueryHandle:
         search (``node_budget`` defaults to ``max_plans``, so the two
         strategies are comparable at equal budget).
         """
+        from .optimizer.cost import TableStats
+        from .optimizer.planner import optimize
         stats = stats if stats is not None else TableStats()
         result = optimize(self.query, stats, max_plans=max_plans,
                           certify=certify,
@@ -252,6 +255,8 @@ class QueryHandle:
 
     def explain(self, stats: Optional[TableStats] = None) -> str:
         """EXPLAIN rendering of this query as a plan."""
+        from .optimizer.cost import TableStats
+        from .optimizer.explain import explain
         return explain(self.query, stats if stats is not None
                        else TableStats())
 
@@ -265,6 +270,7 @@ class QueryHandle:
         :class:`~repro.sql.decompile.PlanRenderingError` when the query
         falls outside the SQL-renderable fragment.
         """
+        from .sql.decompile import plan_to_sql
         return plan_to_sql(self.query, self._session.catalog)
 
 
@@ -314,6 +320,7 @@ class PlanHandle:
     def explain(self) -> str:
         """EXPLAIN rendering of the chosen plan: the certified rewrite
         chain and search counters, then the per-node cost tree."""
+        from .optimizer.explain import explain_result
         return explain_result(self.result, self.stats)
 
     def sql(self) -> str:
@@ -322,6 +329,7 @@ class PlanHandle:
         Raises :class:`~repro.sql.decompile.PlanRenderingError` when the
         plan falls outside the SQL-renderable fragment.
         """
+        from .sql.decompile import plan_to_sql
         return plan_to_sql(self.plan, self.session.catalog)
 
     def handle(self) -> QueryHandle:
@@ -423,7 +431,7 @@ class Session:
         self.pipeline = Pipeline(config, cache=cache, cache_path=cache_path)
         self.workers = workers
         self._cache_path = cache_path
-        self._service: Optional[VerificationService] = None
+        self._service: Optional["VerificationService"] = None
         #: token-stream key (or raw text for unlexable input) → handle.
         self._handles: Dict[object, QueryHandle] = {}
         #: canonical "R(a:int,b:int)" specs, in declaration order — the
@@ -650,6 +658,7 @@ class Session:
         """The batch verification service (worker pool is lazy)."""
         self._ensure_open()
         if self._service is None:
+            from .solver.service import VerificationService
             self._service = VerificationService(pipeline=self.pipeline,
                                                 workers=self.workers)
         return self._service

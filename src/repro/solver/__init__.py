@@ -17,30 +17,7 @@ traffic:
   UNKNOWN answers everything above exchanges.
 """
 
-from .cache import ProofCache, nsum_fingerprint, syntactic_alias
-from .disprover import (
-    Bound,
-    DisproofResult,
-    SMALL_DOMAINS,
-    count_relations,
-    disprove,
-    disprove_factory,
-    disprove_rule,
-    enumerate_relations,
-    free_tables,
-    has_metavariables,
-    replay,
-)
-from .pipeline import (
-    DEFAULT_CONFIG,
-    NormalizedQuery,
-    Pipeline,
-    PipelineConfig,
-    default_pipeline,
-    reset_default_pipeline,
-)
-from .service import BatchReport, Job, VerificationService
-from .verdict import BoundInfo, CounterexampleRecord, Status, Verdict
+from .._lazy import lazy_exports
 
 __all__ = [
     "BatchReport",
@@ -71,3 +48,21 @@ __all__ = [
     "reset_default_pipeline",
     "syntactic_alias",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".cache": ("ProofCache", "nsum_fingerprint", "syntactic_alias"),
+    ".disprover": (
+        "DisproofResult", "count_relations", "disprove", "disprove_factory",
+        "disprove_rule", "enumerate_relations", "free_tables",
+        "has_metavariables", "replay",
+    ),
+    ".pipeline": (
+        "DEFAULT_CONFIG", "NormalizedQuery", "Pipeline", "PipelineConfig",
+        "default_pipeline", "reset_default_pipeline",
+    ),
+    ".service": ("BatchReport", "Job", "VerificationService"),
+    ".verdict": (
+        "Bound", "BoundInfo", "CounterexampleRecord", "SMALL_DOMAINS",
+        "Status", "Verdict",
+    ),
+})

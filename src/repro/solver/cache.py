@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.equivalence import Hypotheses
 from ..core.intern import KernelLRU
@@ -181,10 +181,16 @@ class ProofCache:
 
     # -- lookups ------------------------------------------------------------
 
-    def get(self, fingerprint: str) -> Optional[Verdict]:
-        """Cached verdict for a fingerprint (counts toward hit rate)."""
+    def get(self, fingerprint: str,
+            accept: Optional[Callable[[Verdict], bool]] = None
+            ) -> Optional[Verdict]:
+        """Cached verdict for a fingerprint (counts toward hit rate).
+
+        ``accept`` vets a stored verdict for this caller: one it rejects
+        is not served, and the probe counts as a miss.
+        """
         entry = self._entries.get(fingerprint)
-        if entry is None:
+        if entry is None or (accept is not None and not accept(entry)):
             self.misses += 1
             _MISSES.inc()
             return None

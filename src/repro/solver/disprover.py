@@ -60,49 +60,13 @@ from ..engine.random_instances import Counterexample
 from ..obs.metrics import counter, histogram
 from ..semiring.krelation import KRelation
 from ..semiring.semirings import BOOL, NAT, NAT_INF, Semiring, TROPICAL
-from .verdict import BoundInfo, CounterexampleRecord
-
-#: Domains intentionally smaller than the random falsifier's defaults: the
-#: instance count is exponential in |domain|, and two distinguishable
-#: values per type already separate every rewrite in the corpus.
-SMALL_DOMAINS: Dict[str, Tuple[Any, ...]] = {
-    "int": (0, 1),
-    "bool": (False, True),
-    "string": ("a", "b"),
-    "float": (0.0, 1.0),
-}
+from .verdict import Bound, BoundInfo, CounterexampleRecord, SMALL_DOMAINS
 
 #: Semiring singletons by name — parallel shards ship the *name* and
 #: re-resolve it worker-side, because pickling a semiring instance would
 #: produce a copy that breaks the ``is``-identity checks in the engine.
 _SEMIRINGS_BY_NAME: Dict[str, Semiring] = {
     s.name: s for s in (BOOL, NAT, NAT_INF, TROPICAL)}
-
-
-@dataclass(frozen=True)
-class Bound:
-    """The instance space to exhaust, hashable and picklable."""
-
-    max_rows: int = 2
-    max_multiplicity: int = 2
-    domains: Tuple[Tuple[str, Tuple[Any, ...]], ...] = tuple(
-        sorted(SMALL_DOMAINS.items()))
-
-    @staticmethod
-    def of(max_rows: int = 2, max_multiplicity: int = 2,
-           domains: Optional[Dict[str, Tuple[Any, ...]]] = None) -> "Bound":
-        return Bound(max_rows, max_multiplicity,
-                     tuple(sorted((domains or SMALL_DOMAINS).items())))
-
-    def domain_dict(self) -> Dict[str, Tuple[Any, ...]]:
-        return dict(self.domains)
-
-    def info(self, instances_checked: int, exhausted: bool) -> BoundInfo:
-        return BoundInfo(max_rows=self.max_rows,
-                         max_multiplicity=self.max_multiplicity,
-                         domains=self.domains,
-                         instances_checked=instances_checked,
-                         exhausted=exhausted)
 
 
 @dataclass
@@ -114,13 +78,16 @@ class DisproofResult:
     bound: Bound
     instances_checked: int
     exhausted: bool
+    #: instantiations tried, for a search driven by an instance factory.
+    draws: Optional[int] = None
 
     @property
     def found(self) -> bool:
         return self.counterexample is not None
 
     def info(self) -> BoundInfo:
-        return self.bound.info(self.instances_checked, self.exhausted)
+        return self.bound.info(self.instances_checked, self.exhausted,
+                               self.draws)
 
 
 # ---------------------------------------------------------------------------
@@ -865,10 +832,11 @@ def disprove_factory(factory, bound: Bound = Bound(), draws: int = 3,
                           use_compiled=use_compiled)
         total_checked += result.instances_checked
         if result.found:
-            return replace(result, instances_checked=total_checked)
+            return replace(result, instances_checked=total_checked,
+                           draws=draws)
         exhausted_all = exhausted_all and result.exhausted
     return DisproofResult(None, None, bound, total_checked,
-                          exhausted=exhausted_all)
+                          exhausted=exhausted_all, draws=draws)
 
 
 def disprove_rule(rule, bound: Bound = Bound(), draws: int = 3,

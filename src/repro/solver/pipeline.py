@@ -44,7 +44,6 @@ from ..core.equivalence import (
 from ..core.intern import intern_stats
 from ..core.normalize import NSum, normalize, normalize_stats, nsum_subst
 from ..core.schema import EMPTY, Schema
-from ..engine.eval import EvaluationError
 from ..errors import SchemaMismatchError
 from ..obs.logs import get_logger
 from ..obs.metrics import counter, histogram
@@ -56,14 +55,7 @@ from .cache import (
     nsum_alpha_repr,
     query_side_digest,
 )
-from .disprover import (
-    Bound,
-    disprove,
-    disprove_factory,
-    free_tables,
-    has_metavariables,
-)
-from .verdict import BoundInfo, Status, Verdict
+from .verdict import Bound, BoundInfo, Status, Verdict
 
 
 @dataclass(frozen=True)
@@ -224,21 +216,26 @@ class NormalizedQuery:
 
 
 def _unknown_still_valid(bound: Optional[BoundInfo], cfg: PipelineConfig,
-                         prove_only: bool) -> bool:
+                         prove_only: bool, factory: bool = False) -> bool:
     """May a cached UNKNOWN answer a request run under ``cfg``?
 
     Only if the request's disprover would search nothing the cached
     search did not already clear: an exhausted search covers every
     bound with no more rows or multiplicity and a subset of its
     domains; a truncated one covers only its own bound, up to the
-    instances it checked.  An UNKNOWN with no recorded bound (its
-    disprover was off or abstained) cannot show what it searched, so it
-    answers only requests that do not run the disprover either — as a
-    prove-only request never does.
+    instances it checked.  A request driven by an instance ``factory``
+    also needs the cached search to have tried at least as many draws;
+    a record that names no draws never covers one.  An UNKNOWN with no
+    recorded bound (its disprover was off or abstained) cannot show
+    what it searched, so it answers only requests that do not run the
+    disprover either — as a prove-only request never does.
     """
     if prove_only or not cfg.use_disprover:
         return True
     if bound is None:
+        return False
+    if factory and (bound.draws is None
+                    or cfg.disprover_draws > bound.draws):
         return False
     want = cfg.disprover_bound
     if bound.exhausted:
@@ -344,12 +341,14 @@ class Pipeline:
             fingerprint = fingerprint_from_keys(pre1.alpha_key,
                                                 pre2.alpha_key, hyps)
             side_digest = pre1.norm_digest
-            hit = self.cache.get(fingerprint)
-            if hit is not None and hit.status is Status.UNKNOWN \
-                    and not _unknown_still_valid(hit.bound, cfg, prove_only):
-                # The cached search was smaller than this request's:
-                # serving it could hide a witness the request would find.
-                hit = None
+            # A cached UNKNOWN whose search was smaller than this
+            # request's is not served (it could hide a witness the
+            # request would find); the cache counts that probe a miss.
+            hit = self.cache.get(
+                fingerprint,
+                accept=lambda v: v.status is not Status.UNKNOWN
+                or _unknown_still_valid(v.bound, cfg, prove_only,
+                                        factory is not None))
             sp.attrs["hit"] = hit is not None
         _record_tier(timings, "cache", sp.duration)
         if hit is not None:
@@ -463,10 +462,10 @@ class Pipeline:
             # genuine disproof; the disprover stage then looks for a
             # concrete witness instance to attach.
             if decision is not None and ctx_schema == EMPTY \
-                    and not hyps.keys and not hyps.fds \
-                    and not has_metavariables(q1) \
-                    and not has_metavariables(q2):
-                cq_disproof = True
+                    and not hyps.keys and not hyps.fds:
+                from .disprover import has_metavariables
+                cq_disproof = not has_metavariables(q1) \
+                    and not has_metavariables(q2)
 
         # Stage 5: full prover under budget ---------------------------------
         budget_note = ""
@@ -537,6 +536,8 @@ class Pipeline:
 
     def _run_disprover(self, q1, q2, ctx_schema, hyps, factory,
                        cfg: Optional[PipelineConfig] = None):
+        from ..engine.eval import EvaluationError
+        from .disprover import disprove, disprove_factory, free_tables, has_metavariables
         cfg = cfg if cfg is not None else self.config
         if factory is not None:
             return disprove_factory(

@@ -32,6 +32,44 @@ class Status(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
+#: Domains intentionally smaller than the random falsifier's defaults: the
+#: instance count is exponential in |domain|, and two distinguishable
+#: values per type already separate every rewrite in the corpus.
+SMALL_DOMAINS: Dict[str, Tuple[Any, ...]] = {
+    "int": (0, 1),
+    "bool": (False, True),
+    "string": ("a", "b"),
+    "float": (0.0, 1.0),
+}
+
+
+@dataclass(frozen=True)
+class Bound:
+    """The instance space to exhaust, hashable and picklable."""
+
+    max_rows: int = 2
+    max_multiplicity: int = 2
+    domains: Tuple[Tuple[str, Tuple[Any, ...]], ...] = tuple(
+        sorted(SMALL_DOMAINS.items()))
+
+    @staticmethod
+    def of(max_rows: int = 2, max_multiplicity: int = 2,
+           domains: Optional[Dict[str, Tuple[Any, ...]]] = None) -> "Bound":
+        return Bound(max_rows, max_multiplicity,
+                     tuple(sorted((domains or SMALL_DOMAINS).items())))
+
+    def domain_dict(self) -> Dict[str, Tuple[Any, ...]]:
+        return dict(self.domains)
+
+    def info(self, instances_checked: int, exhausted: bool,
+             draws: Optional[int] = None) -> "BoundInfo":
+        return BoundInfo(max_rows=self.max_rows,
+                         max_multiplicity=self.max_multiplicity,
+                         domains=self.domains,
+                         instances_checked=instances_checked,
+                         exhausted=exhausted, draws=draws)
+
+
 @dataclass(frozen=True)
 class BoundInfo:
     """The instance space a bounded-exhaustive search covered."""
@@ -41,6 +79,10 @@ class BoundInfo:
     domains: Tuple[Tuple[str, Tuple[Any, ...]], ...]
     instances_checked: int
     exhausted: bool
+    #: metavariable instantiations a factory search tried (the draws
+    #: are seeded ``0..draws-1``, so fewer draws search a prefix);
+    #: None for a search over one concrete query pair.
+    draws: Optional[int] = None
 
     def describe(self) -> str:
         coverage = "exhausted" if self.exhausted else "truncated"
@@ -55,6 +97,7 @@ class BoundInfo:
             "domains": [[name, list(values)] for name, values in self.domains],
             "instances_checked": self.instances_checked,
             "exhausted": self.exhausted,
+            **({} if self.draws is None else {"draws": self.draws}),
         }
 
     @staticmethod
@@ -66,6 +109,7 @@ class BoundInfo:
                           for name, values in data["domains"]),
             instances_checked=data["instances_checked"],
             exhausted=data["exhausted"],
+            draws=data.get("draws"),
         )
 
 
@@ -273,8 +317,10 @@ class Verdict:
 #: Fields of Verdict.to_dict the proof cache persists; kept in one place so
 #: cache entries and IPC payloads never drift apart.
 __all__ = [
+    "Bound",
     "BoundInfo",
     "CounterexampleRecord",
+    "SMALL_DOMAINS",
     "Status",
     "Verdict",
 ]

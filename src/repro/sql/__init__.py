@@ -1,52 +1,6 @@
 """SQL frontend: lexer, parser, named→unnamed resolution, pretty-printing."""
 
-from .desugar import (
-    const_tuple_projection,
-    inner_join,
-    left_outer_join,
-    right_outer_join,
-)
-from .lexer import LexError, Token, tokenize
-from .nast import (
-    NAggCall,
-    NAggQuery,
-    NAnd,
-    NBoolLit,
-    NColumn,
-    NComparison,
-    NExcept,
-    NExists,
-    NFromItem,
-    NFuncCall,
-    NLiteral,
-    NNot,
-    NOr,
-    NQuery,
-    NSelect,
-    NSelectItem,
-    NUnionAll,
-)
-from .parser import ParseError, parse
-from .pretty import (
-    denotation_to_str,
-    expression_to_str,
-    predicate_to_str,
-    projection_to_str,
-    query_to_str,
-)
-from .resolve import (
-    Catalog,
-    ResolutionError,
-    Resolved,
-    Resolver,
-    column_steps,
-    columns_to_schema,
-    compile_sql,
-    desugar_group_by,
-    desugar_having,
-    desugar_scalar_agg,
-)
-from .unparse import expr_to_sql, pred_to_sql, unparse
+from .._lazy import lazy_exports
 
 __all__ = [
     "Catalog",
@@ -77,3 +31,27 @@ __all__ = [
     "tokenize",
     "unparse",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".desugar": (
+        "const_tuple_projection", "inner_join", "left_outer_join",
+        "right_outer_join",
+    ),
+    ".lexer": ("LexError", "Token", "tokenize"),
+    ".nast": (
+        "NAggCall", "NAggQuery", "NAnd", "NBoolLit", "NColumn", "NComparison",
+        "NExcept", "NExists", "NFromItem", "NFuncCall", "NLiteral", "NNot",
+        "NOr", "NQuery", "NSelect", "NSelectItem", "NUnionAll",
+    ),
+    ".parser": ("ParseError", "parse"),
+    ".pretty": (
+        "denotation_to_str", "expression_to_str", "predicate_to_str",
+        "projection_to_str", "query_to_str",
+    ),
+    ".resolve": (
+        "Catalog", "ResolutionError", "Resolved", "Resolver", "column_steps",
+        "columns_to_schema", "compile_sql", "desugar_group_by",
+        "desugar_having", "desugar_scalar_agg",
+    ),
+    ".unparse": ("expr_to_sql", "pred_to_sql", "unparse"),
+})

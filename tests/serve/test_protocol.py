@@ -9,10 +9,12 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import ProtocolError, parse_address
 from repro.serve.server import ReproServer
@@ -171,6 +173,66 @@ class TestShutdown:
         server = ReproServer(port=0, tables=TABLES).start()
         server.shutdown()
         server.shutdown()  # second call is a no-op
+
+    def test_shutdown_returns_after_the_ack_is_written(self):
+        """A daemon process exits right after ``shutdown()`` returns, so
+        the ``shutdown`` acknowledgement must be on the wire by then."""
+        server = ReproServer(port=0, tables=TABLES)
+        events = []
+        release = threading.Event()
+        write = server._safe_write
+
+        def held_write(wfile, response):
+            release.wait()  # hold the ack until the serve loop is gone
+            ok = write(wfile, response)
+            events.append("ack written")
+            return ok
+
+        server._safe_write = held_write
+
+        def daemon_main():  # what ``repro serve`` runs
+            server.serve_forever()
+            release.set()
+            server.shutdown(drain=True)
+            events.append("shutdown returned")
+
+        daemon = threading.Thread(target=daemon_main, daemon=True)
+        daemon.start()
+        with _raw_conn(server) as sock:
+            response = _send_line(sock, b'{"op": "shutdown"}\n')
+        daemon.join(timeout=30)
+        assert not daemon.is_alive()
+        assert response["ok"] is True
+        assert response["result"] == {"shutting_down": True}
+        assert events == ["ack written", "shutdown returned"]
+
+    def test_client_shutdown_gets_the_ack_from_a_daemon_process(
+            self, tmp_path, capsys):
+        """``repro client shutdown`` against a real daemon: one attempt,
+        the ack arrives, and the daemon exits 0."""
+        repo_src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        env = dict(os.environ, PYTHONPATH=repo_src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--table", "R(a:int,b:int)"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            env=env, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            address = line.strip().rsplit(" ", 1)[-1]
+            code = main(["client", "--addr", address, "--retries", "1",
+                         "shutdown"])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert "daemon is draining" in captured.out
+            assert proc.wait(timeout=30) == 0
+            assert "repro serve stopped" in proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
 
     def test_sigterm_drains_subprocess(self, tmp_path):
         """A real daemon process exits 0 on SIGTERM after serving."""

@@ -134,6 +134,21 @@ class TestStoreProofCache:
         assert cache.get(fp).cached is True  # hot tier
         assert (cache.hits, cache.misses) == (1, 1)
 
+    def test_rejected_entry_counts_as_a_miss(self, tmp_path):
+        """A stored verdict the caller's ``accept`` rejects is a miss —
+        from the hot tier and from disk alike."""
+        fp = "5" * 64
+        reject = lambda verdict: False  # noqa: E731
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        cache.put(fp, _verdict(fp, Status.UNKNOWN))
+        assert cache.get(fp, accept=reject) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cold = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        assert cold.get(fp, accept=reject) is None
+        assert (cold.hits, cold.misses) == (0, 1)
+        assert cold.get(fp).cached is True
+        assert (cold.hits, cold.misses) == (1, 1)
+
     def test_disk_fallthrough_after_hot_eviction(self, tmp_path):
         cache = StoreProofCache(ShardedProofStore(str(tmp_path)),
                                 max_size=2)

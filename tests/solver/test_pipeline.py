@@ -1,19 +1,24 @@
 """The tiered decision pipeline: stages, budgets, corpus acceptance."""
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from repro.core.schema import INT
+from repro.engine import Interpretation
+from repro.obs.metrics import REGISTRY
 from repro.rules import all_buggy_rules, all_rules
-from repro.semiring import NAT
+from repro.semiring import KRelation, NAT
 from repro.solver import (
     Bound,
+    BoundInfo,
     Pipeline,
     PipelineConfig,
     Status,
     replay,
 )
+from repro.solver.pipeline import _unknown_still_valid
 from repro.sql import Catalog, compile_sql
 
 
@@ -238,6 +243,69 @@ class TestCachedUnknown:
         skipping = Pipeline(on)
         assert skipping.check(q1, q2, config=off).status is Status.UNKNOWN
         assert not skipping.check(q1, q2, config=off).cached
+
+
+    def test_rejected_cached_unknown_counts_as_a_miss(self, queries):
+        config = PipelineConfig(cache_unknown=True,
+                                disprover_bound=self.SMALL)
+        pipeline = Pipeline(config)
+        q1 = queries("SELECT a FROM R")
+        q2 = queries("SELECT DISTINCT a FROM R")
+        assert pipeline.check(q1, q2).status is Status.UNKNOWN
+        before = REGISTRY.snapshot()["counters"]
+        bigger = replace(config, disprover_bound=Bound.of(2, 2))
+        assert not pipeline.check(q1, q2, config=bigger).cached
+        after = REGISTRY.snapshot()["counters"]
+        assert (pipeline.cache.hits, pipeline.cache.misses) == (0, 2)
+        assert after.get("proofcache.hits_total", 0) \
+            == before.get("proofcache.hits_total", 0)
+        assert after["proofcache.misses_total"] \
+            == before.get("proofcache.misses_total", 0) + 1
+
+    def test_factory_request_with_more_draws_reruns_the_disprover(
+            self, queries, catalog):
+        q1 = queries("SELECT a FROM R")
+        q2 = queries("SELECT b FROM R")
+        first_draw = random.Random(0).random()
+
+        def factory(rng):
+            # Draw 0 instantiates an equivalent pair; later draws do not.
+            rhs = q1 if rng.random() == first_draw else q2
+            interp = Interpretation(relations={"R": KRelation(NAT)},
+                                    schemas={"R": catalog.schema_of("R")})
+            return q1, rhs, interp
+
+        config = PipelineConfig(cache_unknown=True, disprover_draws=1)
+        pipeline = Pipeline(config)
+        first = pipeline.check(q1, q2, factory=factory)
+        assert first.status is Status.UNKNOWN
+        assert first.bound.draws == 1
+        assert pipeline.check(q1, q2, factory=factory).cached
+        more = replace(config, disprover_draws=2)
+        verdict = pipeline.check(q1, q2, factory=factory, config=more)
+        assert not verdict.cached
+        assert verdict.status is Status.DISPROVED
+
+    def test_bound_without_draws_never_covers_a_factory_request(self):
+        config = PipelineConfig()
+        info = Bound().info(instances_checked=10, exhausted=True)
+        assert info.draws is None
+        assert _unknown_still_valid(info, config, prove_only=False)
+        assert not _unknown_still_valid(info, config, prove_only=False,
+                                        factory=True)
+        drawn = replace(info, draws=config.disprover_draws)
+        assert _unknown_still_valid(drawn, config, prove_only=False,
+                                    factory=True)
+        fewer = replace(info, draws=config.disprover_draws - 1)
+        assert not _unknown_still_valid(fewer, config, prove_only=False,
+                                        factory=True)
+
+    def test_bound_info_round_trips_draws(self):
+        info = Bound().info(instances_checked=7, exhausted=False, draws=3)
+        assert BoundInfo.from_dict(info.to_dict()) == info
+        plain = Bound().info(instances_checked=7, exhausted=False)
+        assert "draws" not in plain.to_dict()
+        assert BoundInfo.from_dict(plain.to_dict()).draws is None
 
 
 class TestRuleCorpus:
