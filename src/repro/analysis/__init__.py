@@ -30,14 +30,15 @@ __all__ = [
     "infer_properties",
     "lint_rule",
     "lint_rules",
+    "multiplicity_degrees",
     "pred_sat",
     "supports_determined",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".infer": (
-        "AnalysisContext", "EMPTY_CONTEXT", "infer_properties", "pred_sat",
-        "supports_determined",
+        "AnalysisContext", "EMPTY_CONTEXT", "infer_properties",
+        "multiplicity_degrees", "pred_sat", "supports_determined",
     ),
     ".properties": ("Interval", "PlanProperties", "Sat"),
     ".rulecheck": (

@@ -25,6 +25,7 @@ engine evaluation on random instances.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -38,6 +39,7 @@ __all__ = [
     "EMPTY_CONTEXT",
     "infer_properties",
     "iter_ast",
+    "multiplicity_degrees",
     "pred_sat",
     "proj_path",
     "supports_determined",
@@ -386,3 +388,45 @@ def supports_determined(query: ast.Query) -> bool:
     if not isinstance(query, ast.Distinct):
         return False
     return not any(isinstance(node, ast.Agg) for node in iter_ast(query))
+
+
+# ---------------------------------------------------------------------------
+# Multiplicity degrees (the disprover's lattice licence)
+# ---------------------------------------------------------------------------
+
+#: Constructs whose output multiplicity is not a polynomial in the input
+#: multiplicities: DISTINCT and EXCEPT test for zero, EXISTS and
+#: aggregates read a whole subquery result.
+_NON_POLYNOMIAL = (ast.Distinct, ast.Except, ast.Exists, ast.Agg)
+
+
+def multiplicity_degrees(query: ast.Query) -> Optional[Dict[str, int]]:
+    """Per-table degree of ``⟦q⟧``'s multiplicities, or ``None``.
+
+    On the SPJ + ``UNION ALL`` fragment under ``NAT`` every output row's
+    multiplicity is a polynomial in the table multiplicities (its
+    provenance polynomial); its degree in table ``T`` is the number of
+    times ``T`` occurs in one ``FROM`` product.  ``Table`` counts 1,
+    ``Product`` adds, ``UNION ALL`` takes the max, and ``WHERE`` /
+    ``SELECT`` keep their child's degree (a predicate or projection
+    reads row values, never multiplicities).  ``None`` when the plan
+    holds ``DISTINCT``, ``EXCEPT``, ``EXISTS`` or an aggregate anywhere.
+    """
+    if any(isinstance(node, _NON_POLYNOMIAL) for node in iter_ast(query)):
+        return None
+    return _degrees(query)
+
+
+def _degrees(query: ast.Query) -> Optional[Dict[str, int]]:
+    if isinstance(query, ast.Table):
+        return {query.name: 1}
+    if isinstance(query, (ast.Select, ast.Where)):
+        return _degrees(query.query)
+    if isinstance(query, (ast.Product, ast.UnionAll)):
+        left, right = _degrees(query.left), _degrees(query.right)
+        if left is None or right is None:
+            return None
+        join = operator.add if isinstance(query, ast.Product) else max
+        return {name: join(left.get(name, 0), right.get(name, 0))
+                for name in left.keys() | right.keys()}
+    return None  # unknown operator: no guarantees

@@ -342,33 +342,47 @@ class StoreProofCache(ProofCache):
             accept: Optional[Callable[[Verdict], bool]] = None
             ) -> Optional[Verdict]:
         with self._tier_lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                entry = self._store.read(fingerprint)
-                if entry is not None:
-                    # Promote into the hot tier only — the record is
-                    # already on disk, a write-back would just grow the
-                    # segment.
-                    ProofCache.put(self, fingerprint, entry)
-            else:
-                self._entries.move_to_end(fingerprint)
+            entry = self._lookup(fingerprint)
             if entry is None or (accept is not None and not accept(entry)):
                 self.misses += 1
                 counter("proofcache.misses_total").inc()
                 return None
-            self.hits += 1
-            counter("proofcache.hits_total").inc()
-            return self._copy_as_cached(entry)
+            return self._serve(entry)
 
-    def get_by_alias(self, alias: str) -> Optional[Verdict]:
+    def get_by_alias(self, alias: str,
+                     accept: Optional[Callable[[Verdict], bool]] = None
+                     ) -> Optional[Verdict]:
         with self._tier_lock:
             # Unlike the plain cache, an alias whose entry left the hot
             # tier is not dangling — the record usually still lives on
-            # disk, so fall through to the layered probe.
+            # disk, so fall through to the layered lookup.  As in the
+            # plain cache, alias misses and rejected entries go uncounted
+            # (the fingerprint probe that follows counts them).
             fingerprint = self._aliases.get(alias)
             if fingerprint is None:
                 return None
-            return self.get(fingerprint)
+            entry = self._lookup(fingerprint)
+            if entry is None or (accept is not None and not accept(entry)):
+                return None
+            return self._serve(entry)
+
+    def _lookup(self, fingerprint: str) -> Optional[Verdict]:
+        """The hot-tier entry, else the disk record (promoted), else None."""
+        entry = self._entries.get(fingerprint)
+        if entry is None:
+            entry = self._store.read(fingerprint)
+            if entry is not None:
+                # Promote into the hot tier only — the record is already
+                # on disk, a write-back would just grow the segment.
+                ProofCache.put(self, fingerprint, entry)
+        else:
+            self._entries.move_to_end(fingerprint)
+        return entry
+
+    def _serve(self, entry: Verdict) -> Verdict:
+        self.hits += 1
+        counter("proofcache.hits_total").inc()
+        return self._copy_as_cached(entry)
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._tier_lock:

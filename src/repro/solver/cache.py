@@ -199,18 +199,23 @@ class ProofCache:
         _HITS.inc()
         return self._copy_as_cached(entry)
 
-    def get_by_alias(self, alias: str) -> Optional[Verdict]:
+    def get_by_alias(self, alias: str,
+                     accept: Optional[Callable[[Verdict], bool]] = None
+                     ) -> Optional[Verdict]:
         """Cached verdict for a syntactic alias, if ever registered.
 
         Misses here are *not* counted: an alias miss normally precedes a
         fingerprint probe for the same question, and double-counting would
-        understate the hit rate.
+        understate the hit rate.  An entry ``accept`` rejects is such a
+        miss too — not served, and counted by the probe that follows.
         """
         fingerprint = self._aliases.get(alias)
         if fingerprint is None:
             return None
         if fingerprint not in self._entries:
             del self._aliases[alias]  # lazily prune a dangling alias
+            return None
+        if accept is not None and not accept(self._entries[fingerprint]):
             return None
         self._entries.move_to_end(fingerprint)
         self.hits += 1

@@ -24,6 +24,13 @@ The search engine is built for compile-once/evaluate-many throughput:
   (``disprove(..., workers=N)``) with a deterministic smallest-index
   witness, early cancellation of shards past the first hit, and exact
   ``instances_checked`` accounting folded from per-shard reports;
+* with ``analyze=True`` the static analysis tier prunes the space
+  losslessly; on SPJ / ``UNION ALL`` pairs under ``NAT`` each output
+  multiplicity is a polynomial of known per-table degree in the table
+  multiplicities, so only instances whose total multiplicity per table
+  is at most that degree are searched (the *degree lattice*: 25
+  instances instead of 6,561 for a two-table join at 4 rows × 2), and
+  exhausting them covers the whole bound;
 * every witness — compiled or not, sharded or not — is re-evaluated
   through the reference interpreter before being reported, so a
   DISPROVED verdict never rests on the compiled evaluator alone.
@@ -49,7 +56,8 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..analysis.infer import (AnalysisContext, EMPTY_CONTEXT,
-                              infer_properties, supports_determined)
+                              infer_properties, multiplicity_degrees,
+                              supports_determined)
 from ..core import ast
 from ..core.equivalence import Hypotheses
 from ..core.schema import Schema, enumerate_tuples, tuple_flatten, tuple_of
@@ -325,6 +333,20 @@ def _count_batches(schema: Schema, bound: Bound,
     return tuple(out)
 
 
+@lru_cache(maxsize=128)
+def _degree_keep(schema: Schema, bound: Bound,
+                 degree: int) -> Optional[Tuple[int, ...]]:
+    """Descriptor indices whose total multiplicity is at most ``degree``.
+
+    ``None`` when that is every descriptor (nothing to prune).  The kept
+    instances form a lower set of the instance box, in canonical order.
+    """
+    descriptors = _instance_descriptors(schema, bound)
+    keep = tuple(i for i, (_, mults) in enumerate(descriptors)
+                 if sum(mults) <= degree)
+    return None if len(keep) == len(descriptors) else keep
+
+
 def _relation_from_descriptor(schema: Schema, bound: Bound,
                               desc: Tuple[Tuple[int, ...], Tuple[int, ...]],
                               semiring: Semiring) -> KRelation:
@@ -404,11 +426,20 @@ def disprove(q1: ast.Query, q2: ast.Query,
             search aborts empty rather than report a spurious witness.
         analyze: consult the static analysis tier
             (:mod:`repro.analysis`) to prune the instance space before
-            enumerating.  Both prunes are lossless: queries proved empty
-            on *every* instance cannot disagree anywhere, and when both
-            sides are support-determined (``DISTINCT``-rooted,
+            enumerating.  All three prunes are lossless: queries proved
+            empty on *every* instance cannot disagree anywhere; when
+            both sides are support-determined (``DISTINCT``-rooted,
             aggregate-free) multiplicities above 1 cannot create a
-            disagreement that multiplicity 1 misses.  Off switch exists
+            disagreement that multiplicity 1 misses; and under ``NAT``,
+            when both sides are SPJ / ``UNION ALL``
+            (:func:`~repro.analysis.infer.multiplicity_degrees` is not
+            ``None``), a table of degree ``d`` — its most occurrences
+            in one ``FROM`` product on either side — is searched only
+            over instances with total multiplicity ``≤ d`` (tables
+            constrained by ``hyps`` are searched in full).  An exhausted
+            lattice search covers the whole ``bound``, which is the one
+            reported; a witness is the first in lattice order, so it
+            can differ from the unpruned search's.  Off switch exists
             for benchmarking the unpruned search.
         workers: shard the search across this many processes.  Takes
             effect only for searches with no ``base_interp`` (callables
@@ -460,6 +491,9 @@ def disprove(q1: ast.Query, q2: ast.Query,
             # original covered by implication.
             counter("analysis.disprover.mult_clamped").inc()
             bound = replace(bound, max_multiplicity=1)
+        degrees = _pair_degrees(q1, q2) if semiring is NAT else None
+    else:
+        degrees = None
     names = sorted(tables)
 
     pair = None
@@ -474,9 +508,10 @@ def disprove(q1: ast.Query, q2: ast.Query,
 
     # Per-table evaluation spaces.  ``valid[i]`` maps a position in the
     # searched space back to the canonical descriptor index (None = the
-    # identity, i.e. no constraint filtered anything).
+    # identity: neither a constraint nor the degree lattice filtered).
     spaces: List[Sequence[Any]] = []
-    valid: List[Optional[List[int]]] = []
+    valid: List[Optional[Sequence[int]]] = []
+    lattice = False
     for name in names:
         schema = tables[name]
         checkers = _constraint_checkers(name, hyps, base_interp, semiring)
@@ -487,14 +522,19 @@ def disprove(q1: ast.Query, q2: ast.Query,
                                                   semiring is NAT)
         else:
             space = list(enumerate_relations(schema, bound, semiring))
+        keep: Optional[Sequence[int]] = None
         if checkers:
             keep = [i for i, rel in enumerate(space)
                     if all(check(rel) for check in checkers)]
+        elif degrees is not None:
+            keep = _degree_keep(schema, bound, degrees.get(name, 0))
+            lattice = lattice or keep is not None
+        if keep is not None:
             space = [space[i] for i in keep]
-            valid.append(keep)
-        else:
-            valid.append(None)
+        valid.append(keep)
         spaces.append(space)
+    if lattice:
+        counter("analysis.disprover.degree_lattice").inc()
 
     radices = [len(space) for space in spaces]
     total = 1
@@ -503,9 +543,9 @@ def disprove(q1: ast.Query, q2: ast.Query,
     search_n = total if max_instances is None else min(total, max_instances)
 
     # Sharding requires a picklable worker spec: no base interpretation
-    # (metavariable bindings are callables) and no constraint filtering
-    # (checkers need the base interpretation anyway, so with
-    # ``base_interp is None`` nothing was filtered).
+    # (metavariable bindings are callables) and no filtered space
+    # (workers rebuild the full per-table spaces), so constraint- and
+    # lattice-filtered searches run serially.
     parallel = (workers > 1 and names and base_interp is None
                 and all(v is None for v in valid) and search_n > 1)
     if parallel:
@@ -538,6 +578,26 @@ def disprove(q1: ast.Query, q2: ast.Query,
     histogram("disprover.search.seconds").observe(
         time.perf_counter() - started)
     return result
+
+
+def _pair_degrees(q1: ast.Query, q2: ast.Query) -> Optional[Dict[str, int]]:
+    """Per-table degree bound of ``⟦q1⟧ - ⟦q2⟧`` under ``NAT``, or ``None``.
+
+    Each output row's multiplicity difference is then a polynomial of
+    degree at most ``d[T]`` in table ``T``'s multiplicities.  Such a
+    polynomial vanishes on a box ``{0..m}^S`` iff it vanishes on the
+    box points whose coordinates sum to at most ``d[T]`` per table: in
+    the binomial basis ``C(x, a)`` over that lower set the evaluation
+    matrix is unitriangular.  Every instance space here is a union of
+    such boxes (one per support of at most ``max_rows`` rows), so the
+    lower sets decide the whole bound.
+    """
+    d1 = multiplicity_degrees(q1)
+    d2 = multiplicity_degrees(q2) if d1 is not None else None
+    if d2 is None:
+        return None
+    return {name: max(d1.get(name, 0), d2.get(name, 0))
+            for name in d1.keys() | d2.keys()}
 
 
 def _search_serial(evaluate: Callable[[Tuple[Any, ...]], bool],
@@ -680,7 +740,7 @@ def _decode(index: int, radices: Sequence[int]) -> List[int]:
 def _witness_at(q1: ast.Query, q2: ast.Query, names: List[str],
                 tables: Dict[str, Schema], bound: Bound, semiring: Semiring,
                 base_interp: Optional[Interpretation],
-                valid: Sequence[Optional[List[int]]],
+                valid: Sequence[Optional[Sequence[int]]],
                 radices: Sequence[int], witness: int
                 ) -> Tuple[Counterexample, CounterexampleRecord]:
     """Reconstruct instance ``witness`` and certify it with the interpreter.

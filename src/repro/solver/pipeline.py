@@ -28,7 +28,7 @@ the prover/disprover pair itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..core import ast
 from ..core.conjunctive import NotConjunctive, decide_cq, is_conjunctive_query
@@ -250,6 +250,19 @@ def _unknown_still_valid(bound: Optional[BoundInfo], cfg: PipelineConfig,
             and budget is not None and budget <= bound.instances_checked)
 
 
+def cached_verdict_filter(cfg: PipelineConfig, prove_only: bool = False,
+                          factory: bool = False
+                          ) -> Callable[[Verdict], bool]:
+    """The ``accept`` test a cache probe for a request under ``cfg`` uses.
+
+    Decided verdicts are always served; a cached UNKNOWN only when
+    :func:`_unknown_still_valid` says its search covers this request's.
+    """
+    return lambda v: (v.status is not Status.UNKNOWN
+                      or _unknown_still_valid(v.bound, cfg, prove_only,
+                                              factory))
+
+
 class Pipeline:
     """A configured tiered decision pipeline with a proof cache."""
 
@@ -345,10 +358,8 @@ class Pipeline:
             # request's is not served (it could hide a witness the
             # request would find); the cache counts that probe a miss.
             hit = self.cache.get(
-                fingerprint,
-                accept=lambda v: v.status is not Status.UNKNOWN
-                or _unknown_still_valid(v.bound, cfg, prove_only,
-                                        factory is not None))
+                fingerprint, accept=cached_verdict_filter(
+                    cfg, prove_only, factory is not None))
             sp.attrs["hit"] = hit is not None
         _record_tier(timings, "cache", sp.duration)
         if hit is not None:

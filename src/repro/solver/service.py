@@ -42,7 +42,7 @@ from ..obs.metrics import (
 )
 from ..obs.trace import span
 from .cache import query_side_digest, syntactic_alias
-from .pipeline import Pipeline, PipelineConfig
+from .pipeline import Pipeline, PipelineConfig, cached_verdict_filter
 from .verdict import Status, Verdict
 
 _log = get_logger("solver.service")
@@ -205,8 +205,12 @@ class VerificationService:
             answers: Dict[str, Verdict] = {}
             pending: List[Job] = []
             cache_hits = 0
+            # A cached UNKNOWN from a smaller search (say, a cache file
+            # written under another config) is not served: the pipeline
+            # re-runs the question, and its probe counts the miss.
+            accept = cached_verdict_filter(self.pipeline.config)
             for alias in order:
-                hit = self.cache.get_by_alias(alias)
+                hit = self.cache.get_by_alias(alias, accept=accept)
                 if hit is not None:
                     answers[alias] = hit
                     cache_hits += 1
@@ -268,7 +272,10 @@ class VerificationService:
                 alias = syntactic_alias(rule.lhs, rule.rhs, rule.ctx_schema,
                                         rule.hypotheses)
                 aliases[rule.name] = alias
-                hit = self.cache.get_by_alias(alias)
+                accept = cached_verdict_filter(
+                    self.pipeline.config,
+                    factory=rule.instantiate is not None)
+                hit = self.cache.get_by_alias(alias, accept=accept)
                 if hit is not None:
                     answers[alias] = hit
                     cache_hits += 1

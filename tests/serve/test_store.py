@@ -168,6 +168,21 @@ class TestStoreProofCache:
             cache.put(fp, _verdict(fp))
         assert cache.get_by_alias("the-alias") is not None
 
+    def test_rejected_alias_entry_is_not_served_nor_counted(self, tmp_path):
+        """Like the plain cache: the fingerprint probe that follows a
+        rejected alias entry counts the miss, so this lookup does not."""
+        fp = "6" * 64
+        reject = lambda verdict: False  # noqa: E731
+        cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        cache.put(fp, _verdict(fp, Status.UNKNOWN), alias="the-alias")
+        cold = StoreProofCache(ShardedProofStore(str(tmp_path)))
+        cold.register_alias("the-alias", fp)
+        for probed in (cache, cold):
+            assert probed.get_by_alias("the-alias", accept=reject) is None
+            assert (probed.hits, probed.misses) == (0, 0)
+            assert probed.get_by_alias("the-alias").cached is True
+            assert (probed.hits, probed.misses) == (1, 0)
+
     def test_save_is_a_noop(self, tmp_path):
         cache = StoreProofCache(ShardedProofStore(str(tmp_path)))
         assert cache.save() == os.path.abspath(str(tmp_path))

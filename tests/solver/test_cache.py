@@ -89,6 +89,16 @@ class TestLRU:
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
 
+    def test_alias_lookup_honours_accept(self):
+        cache = ProofCache(max_size=8)
+        cache.put("a", self._verdict("a"), alias="alias-a")
+        assert cache.get_by_alias("alias-a",
+                                  accept=lambda v: False) is None
+        assert cache.hits == 0 and cache.misses == 0
+        assert cache.get_by_alias("alias-a",
+                                  accept=lambda v: True) is not None
+        assert cache.hits == 1 and cache.misses == 0
+
     def test_cached_copies_are_marked(self):
         cache = ProofCache()
         cache.put("a", self._verdict("a"))

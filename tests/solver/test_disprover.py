@@ -91,10 +91,20 @@ class TestDisprove:
 
     def test_exhausts_on_equivalent_pair(self, catalog):
         q1 = compile_sql("SELECT a FROM R WHERE a = 1", catalog).query
-        result = disprove(q1, q1)
+        result = disprove(q1, q1, analyze=False)
         assert not result.found
         assert result.exhausted
         assert result.instances_checked == 33  # the full bounded space
+
+    def test_degree_lattice_exhausts_on_fewer_instances(self, catalog):
+        # degree 1 in R: the empty instance and the 4 single rows at
+        # multiplicity 1 decide the whole 33-instance bound
+        q1 = compile_sql("SELECT a FROM R WHERE a = 1", catalog).query
+        result = disprove(q1, q1)
+        assert not result.found
+        assert result.exhausted
+        assert result.instances_checked == 5
+        assert result.bound == Bound()  # the full bound is covered
 
     def test_bound_info_reports_guarantee(self, catalog):
         q1 = compile_sql("SELECT a FROM R", catalog).query
@@ -105,10 +115,17 @@ class TestDisprove:
 
     def test_instance_budget_marks_non_exhausted(self, catalog):
         q1 = compile_sql("SELECT a FROM R", catalog).query
-        result = disprove(q1, q1, max_instances=5)
+        result = disprove(q1, q1, max_instances=5, analyze=False)
         assert not result.found
         assert not result.exhausted
         assert result.instances_checked == 5
+
+    def test_instance_budget_applies_to_the_degree_lattice(self, catalog):
+        q1 = compile_sql("SELECT a FROM R", catalog).query
+        within = disprove(q1, q1, max_instances=5)
+        assert within.exhausted and within.instances_checked == 5
+        short = disprove(q1, q1, max_instances=4)
+        assert not short.exhausted and short.instances_checked == 4
 
     def test_multiplicity_sensitivity_needs_bags(self, catalog):
         # SELECT a vs SELECT DISTINCT a differ only on duplicates: the

@@ -109,6 +109,32 @@ class TestBatch:
         again = service.check_batch(jobs, workers=1)
         assert again.cache_hits == 0
 
+    def test_cached_unknown_from_a_smaller_search_is_not_served(
+            self, queries, tmp_path):
+        # A cache file written under a 1x1 bound holds an UNKNOWN; a
+        # service searching 2x2 must re-run the question, not answer it
+        # from the alias index.
+        from dataclasses import replace
+        from repro.solver import Bound, PipelineConfig
+        small = PipelineConfig(cache_unknown=True,
+                               disprover_bound=Bound.of(1, 1))
+        jobs = [Job("u", queries("SELECT a FROM R"),
+                    queries("SELECT DISTINCT a FROM R"))]
+        writer = VerificationService(config=small)
+        assert writer.check_batch(jobs, workers=1).verdicts["u"].status \
+            is Status.UNKNOWN
+        path = writer.save_cache(str(tmp_path / "cache.json"))
+        bigger = replace(small, disprover_bound=Bound.of(2, 2))
+        service = VerificationService(config=bigger, cache_path=path)
+        report = service.check_batch(jobs, workers=1)
+        assert report.verdicts["u"].status is Status.DISPROVED
+        assert report.cache_hits == 0 and report.computed == 1
+        # the rejected entry counts once, as the pipeline probe's miss
+        assert (service.cache.hits, service.cache.misses) == (0, 1)
+        # a same-bound reader is still answered from the file
+        same = VerificationService(config=small, cache_path=path)
+        assert same.check_batch(jobs, workers=1).cache_hits == 1
+
     def test_parallel_batch_matches_sequential(self, queries):
         jobs = _jobs(queries)
         sequential = VerificationService().check_batch(jobs, workers=1)
@@ -132,6 +158,21 @@ class TestRuleBatches:
         assert report.count(Status.PROVED) == 23
         assert report.count(Status.DISPROVED) == 5
         assert report.count(Status.UNKNOWN) == 0
+
+    def test_cached_unknown_without_draws_does_not_answer_a_rule(self):
+        # An exhausted UNKNOWN over a concrete pair records no draws, so
+        # it never covers a rule's factory-driven search.
+        from repro.solver import Bound, Verdict
+        from repro.solver.cache import syntactic_alias
+        rule = next(iter(all_buggy_rules()))
+        service = VerificationService()
+        stale = Verdict(status=Status.UNKNOWN, stage="none",
+                        bound=Bound.of(3, 3).info(100, exhausted=True))
+        service.cache.put("f" * 64, stale, alias=syntactic_alias(
+            rule.lhs, rule.rhs, rule.ctx_schema, rule.hypotheses))
+        report = service.check_rules([rule], workers=1)
+        assert report.cache_hits == 0
+        assert report.verdicts[rule.name].status is Status.DISPROVED
 
     def test_rule_corpus_warm_cache(self):
         service = VerificationService()
