@@ -445,6 +445,8 @@ def disprove(q1: ast.Query, q2: ast.Query,
             effect only for searches with no ``base_interp`` (callables
             do not pickle); the witness and ``instances_checked`` are
             bit-identical to ``workers=1`` regardless of scheduling.
+            A degree-lattice search shards too: each worker rebuilds
+            the lattice from the per-table degrees.
         batch_size: instances per shard (default: sized so each worker
             gets ~8 shards, clamped to [512, 100000]).
         use_compiled: ``None`` (default) compiles under NAT/BOOL and
@@ -491,7 +493,18 @@ def disprove(q1: ast.Query, q2: ast.Query,
             # original covered by implication.
             counter("analysis.disprover.mult_clamped").inc()
             bound = replace(bound, max_multiplicity=1)
-        degrees = _pair_degrees(q1, q2) if semiring is NAT else None
+        # Under NAT on SPJ / UNION ALL, each output row's multiplicity
+        # difference is a polynomial of degree at most ``degrees[T]`` in
+        # table T's multiplicities (the UNION ALL rule takes the max over
+        # both sides).  Such a polynomial vanishes on a box ``{0..m}^S``
+        # iff it vanishes on the box points whose coordinates sum to at
+        # most ``degrees[T]`` per table: in the binomial basis
+        # ``C(x, a)`` over that lower set the evaluation matrix is
+        # unitriangular.  Every instance space here is a union of such
+        # boxes (one per support of at most ``max_rows`` rows), so the
+        # lower sets decide the whole bound.
+        degrees = multiplicity_degrees(ast.UnionAll(q1, q2)) \
+            if semiring is NAT else None
     else:
         degrees = None
     names = sorted(tables)
@@ -511,7 +524,9 @@ def disprove(q1: ast.Query, q2: ast.Query,
     # identity: neither a constraint nor the degree lattice filtered).
     spaces: List[Sequence[Any]] = []
     valid: List[Optional[Sequence[int]]] = []
-    lattice = False
+    # Per-table lattice degree (None: searched in full), for the workers.
+    table_degrees: List[Optional[int]] = []
+    constrained = lattice = False
     for name in names:
         schema = tables[name]
         checkers = _constraint_checkers(name, hyps, base_interp, semiring)
@@ -523,15 +538,19 @@ def disprove(q1: ast.Query, q2: ast.Query,
         else:
             space = list(enumerate_relations(schema, bound, semiring))
         keep: Optional[Sequence[int]] = None
+        degree: Optional[int] = None
         if checkers:
             keep = [i for i, rel in enumerate(space)
                     if all(check(rel) for check in checkers)]
+            constrained = True
         elif degrees is not None:
-            keep = _degree_keep(schema, bound, degrees.get(name, 0))
+            degree = degrees.get(name, 0)
+            keep = _degree_keep(schema, bound, degree)
             lattice = lattice or keep is not None
         if keep is not None:
             space = [space[i] for i in keep]
         valid.append(keep)
+        table_degrees.append(degree)
         spaces.append(space)
     if lattice:
         counter("analysis.disprover.degree_lattice").inc()
@@ -543,15 +562,17 @@ def disprove(q1: ast.Query, q2: ast.Query,
     search_n = total if max_instances is None else min(total, max_instances)
 
     # Sharding requires a picklable worker spec: no base interpretation
-    # (metavariable bindings are callables) and no filtered space
-    # (workers rebuild the full per-table spaces), so constraint- and
-    # lattice-filtered searches run serially.
+    # (metavariable bindings are callables) and no constraint filtering
+    # (checkers need the base interpretation anyway, so with
+    # ``base_interp is None`` nothing was filtered).  The degree lattice
+    # travels as per-table degrees; workers rebuild it with
+    # ``_degree_keep``.
     parallel = (workers > 1 and names and base_interp is None
-                and all(v is None for v in valid) and search_n > 1)
+                and not constrained and search_n > 1)
     if parallel:
         counter("disprover.parallel_total").inc()
         spec = (q1, q2, tuple(names), tuple(tables[n] for n in names),
-                bound, semiring.name, pair is not None)
+                bound, semiring.name, pair is not None, tuple(table_degrees))
         witness, checked = _search_parallel(spec, search_n, workers,
                                             batch_size)
         exhausted = witness is None and search_n == total
@@ -578,26 +599,6 @@ def disprove(q1: ast.Query, q2: ast.Query,
     histogram("disprover.search.seconds").observe(
         time.perf_counter() - started)
     return result
-
-
-def _pair_degrees(q1: ast.Query, q2: ast.Query) -> Optional[Dict[str, int]]:
-    """Per-table degree bound of ``⟦q1⟧ - ⟦q2⟧`` under ``NAT``, or ``None``.
-
-    Each output row's multiplicity difference is then a polynomial of
-    degree at most ``d[T]`` in table ``T``'s multiplicities.  Such a
-    polynomial vanishes on a box ``{0..m}^S`` iff it vanishes on the
-    box points whose coordinates sum to at most ``d[T]`` per table: in
-    the binomial basis ``C(x, a)`` over that lower set the evaluation
-    matrix is unitriangular.  Every instance space here is a union of
-    such boxes (one per support of at most ``max_rows`` rows), so the
-    lower sets decide the whole bound.
-    """
-    d1 = multiplicity_degrees(q1)
-    d2 = multiplicity_degrees(q2) if d1 is not None else None
-    if d2 is None:
-        return None
-    return {name: max(d1.get(name, 0), d2.get(name, 0))
-            for name in d1.keys() | d2.keys()}
 
 
 def _search_serial(evaluate: Callable[[Tuple[Any, ...]], bool],
@@ -686,22 +687,32 @@ def _shard_worker(spec: Tuple[Any, ...], start: int,
 @lru_cache(maxsize=32)
 def _prepare_spec(spec: Tuple[Any, ...]):
     """Worker-side spec → (evaluate closure, per-table instance spaces)."""
-    q1, q2, names, schemas, bound, semiring_name, compiled = spec
+    q1, q2, names, schemas, bound, semiring_name, compiled, degrees = spec
     semiring = _SEMIRINGS_BY_NAME[semiring_name]
     if compiled:
-        pair = compile_pair(q1, q2, names, None, semiring)
         spaces = tuple(_count_batches(schema, bound, semiring is NAT)
                        for schema in schemas)
-        return pair.differs, spaces
+    else:
+        spaces = tuple(tuple(enumerate_relations(schema, bound, semiring))
+                       for schema in schemas)
+    spaces = tuple(_lattice_space(space, schema, bound, degree)
+                   for space, schema, degree in zip(spaces, schemas, degrees))
+    if compiled:
+        return compile_pair(q1, q2, names, None, semiring).differs, spaces
     tables = dict(zip(names, schemas))
-    spaces = tuple(tuple(enumerate_relations(schema, bound, semiring))
-                   for schema in schemas)
 
     def evaluate(combo: Tuple[Any, ...]) -> bool:
         interp = _with_relations(None, list(names), combo, tables)
         return (run_query(q1, interp, semiring)
                 != run_query(q2, interp, semiring))
     return evaluate, spaces
+
+
+def _lattice_space(space: Sequence[Any], schema: Schema, bound: Bound,
+                   degree: Optional[int]) -> Sequence[Any]:
+    """``space`` restricted to the degree lattice, as the caller built it."""
+    keep = None if degree is None else _degree_keep(schema, bound, degree)
+    return space if keep is None else tuple(space[i] for i in keep)
 
 
 def _iter_combos(spaces: Sequence[Sequence[Any]], start: int,

@@ -155,7 +155,9 @@ def test_disprover_verdict_independent_of_evaluator(backend, semiring,
     """The full-search differential guarantee: on every semiring — the
     two compiled ones and the interpreter-fallback ``NAT_INF`` — forcing
     the interpreter and forcing (or auto-choosing) the compiled path
-    must agree on witness index, accounting, and exhaustion."""
+    must agree on witness index, accounting, and exhaustion.
+    ``analyze=False`` keeps the search on the full space (the degree
+    lattice would shrink the NAT cases; see the next test)."""
     previous = set_kernel_backend(backend)
     try:
         pairs = [
@@ -166,9 +168,10 @@ def test_disprover_verdict_independent_of_evaluator(backend, semiring,
             q1 = compile_sql(sql1, catalog).query
             q2 = compile_sql(sql2, catalog).query
             interp = disprove(q1, q2, bound=Bound.of(2, 2),
-                              use_compiled=False, semiring=semiring)
+                              use_compiled=False, semiring=semiring,
+                              analyze=False)
             auto = disprove(q1, q2, bound=Bound.of(2, 2),
-                            semiring=semiring)
+                            semiring=semiring, analyze=False)
             assert auto.found == interp.found
             assert auto.instances_checked == interp.instances_checked
             assert auto.exhausted == interp.exhausted
@@ -178,10 +181,39 @@ def test_disprover_verdict_independent_of_evaluator(backend, semiring,
                 assert auto.record == interp.record
             if semiring in COMPILED_SEMIRINGS:
                 forced = disprove(q1, q2, bound=Bound.of(2, 2),
-                                  use_compiled=True, semiring=semiring)
+                                  use_compiled=True, semiring=semiring,
+                                  analyze=False)
                 assert forced.found == interp.found
                 assert forced.instances_checked \
                     == interp.instances_checked
+    finally:
+        set_kernel_backend(previous)
+
+
+@pytest.mark.parametrize("backend", ["arena", "object"])
+def test_lattice_search_independent_of_evaluator(backend, catalog):
+    """The same guarantee on the NAT degree lattice: the interpreter and
+    the compiled path search the same pruned space in the same order."""
+    previous = set_kernel_backend(backend)
+    try:
+        pairs = [
+            ("SELECT a FROM R WHERE a = 1", "SELECT a FROM R WHERE a = 1"),
+            ("SELECT r.a FROM R r, S s WHERE r.a = s.a",
+             "SELECT r.a FROM R r, S s WHERE r.a = s.a AND s.b = 1"),
+        ]
+        for sql1, sql2 in pairs:
+            q1 = compile_sql(sql1, catalog).query
+            q2 = compile_sql(sql2, catalog).query
+            interp = disprove(q1, q2, bound=Bound.of(2, 2),
+                              use_compiled=False)
+            for use_compiled in (None, True):
+                compiled = disprove(q1, q2, bound=Bound.of(2, 2),
+                                    use_compiled=use_compiled)
+                assert compiled.found == interp.found
+                assert compiled.instances_checked \
+                    == interp.instances_checked
+                assert compiled.exhausted == interp.exhausted
+                assert compiled.record == interp.record
     finally:
         set_kernel_backend(previous)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.schema import INT, Leaf, Node
+from repro.obs.metrics import counter
 from repro.rules import all_buggy_rules, all_rules, get_rule
 from repro.semiring import NAT
 from repro.solver import (
@@ -179,12 +180,41 @@ class TestShardDeterminism:
         assert sharded.record == serial.record
 
     def test_exhaustion_matches_serial(self, catalog):
+        # analyze=False: the full space, which the degree lattice would
+        # otherwise shrink to a handful of instances
         q1 = compile_sql("SELECT a FROM R WHERE a = 1", catalog).query
-        serial = disprove(q1, q1, bound=Bound.of(2, 2), workers=1)
-        sharded = disprove(q1, q1, bound=Bound.of(2, 2), workers=4)
+        serial = disprove(q1, q1, bound=Bound.of(2, 2), workers=1,
+                          analyze=False)
+        sharded = disprove(q1, q1, bound=Bound.of(2, 2), workers=4,
+                           analyze=False)
         assert not serial.found and not sharded.found
         assert serial.exhausted and sharded.exhausted
         assert sharded.instances_checked == serial.instances_checked
+
+    @pytest.mark.parametrize("use_compiled", [None, False])
+    def test_degree_lattice_shards_like_serial(self, catalog, use_compiled):
+        # workers rebuild the lattice from per-table degrees, so a
+        # pruned search still shards, with serial accounting
+        join = ("SELECT r.a FROM R r, S s WHERE r.a = s.a", "SELECT x.a FROM "
+                "R x, S y WHERE x.a = y.a")
+        narrower = (join[0], join[0] + " AND r.b = 1")
+        bound = Bound.of(3, 2)
+        parallel = counter("disprover.parallel_total")
+        lattice = counter("analysis.disprover.degree_lattice")
+        for sql1, sql2 in (join, narrower):
+            q1 = compile_sql(sql1, catalog).query
+            q2 = compile_sql(sql2, catalog).query
+            serial = disprove(q1, q2, bound=bound, use_compiled=use_compiled)
+            before = (parallel.value, lattice.value)
+            sharded = disprove(q1, q2, bound=bound, workers=2, batch_size=7,
+                               use_compiled=use_compiled)
+            assert (parallel.value, lattice.value) \
+                == (before[0] + 1, before[1] + 1)
+            assert sharded.found == serial.found
+            assert sharded.exhausted == serial.exhausted
+            assert sharded.instances_checked == serial.instances_checked
+            assert sharded.record == serial.record
+        assert serial.found  # the narrower pair differs
 
     def test_knob_validation(self, catalog):
         q1 = compile_sql("SELECT a FROM R", catalog).query
